@@ -75,6 +75,34 @@ let run_selected quick json_file ids =
       close_out oc;
       Printf.printf "wrote %s\n" file
 
+(* Accessors shared by one experiment's --check-json gate: [fail]
+   reports a violated invariant and exits 1; [num] fails on a missing
+   number, naming the row by its [label] column when it has one. *)
+module Gate (E : sig
+  val id : string
+  val label : string option
+end) =
+struct
+  open Harness.Json
+
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "%s invariant violated: %s\n" E.id m;
+        exit 1)
+      fmt
+
+  let str k r = Option.value ~default:"?" (string_value (member k r))
+
+  let num k r =
+    match (number_value (member k r), E.label) with
+    | Some v, _ -> v
+    | None, None -> fail "row lacks numeric %S" k
+    | None, Some l -> fail "row %S lacks numeric %S" (str l r) k
+
+  let int_of k r = int_of_float (num k r)
+end
+
 (* E21 carries enough structure to cross-check the perf claims, not
    just the schema: the allocation-lean substrate must actually
    allocate less than the generic descriptors op-for-op, batching must
@@ -82,21 +110,10 @@ let run_selected quick json_file ids =
    histogram quantiles must be ordered, and the batch traffic must
    conserve items exactly. *)
 let check_e21 rows =
-  let open Harness.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "e21 invariant violated: %s\n" m;
-        exit 1)
-      fmt
-  in
-  let str k r = Option.value ~default:"?" (string_value (member k r)) in
-  let num k r =
-    match number_value (member k r) with
-    | Some v -> v
-    | None -> fail "row lacks numeric %S" k
-  in
-  let int_of k r = int_of_float (num k r) in
+  let open Gate (struct
+    let id = "e21"
+    let label = None
+  end) in
   let section s r = str "section" r = s in
   let alloc = List.filter (section "alloc") rows in
   let batch = List.filter (section "batch") rows in
@@ -158,21 +175,10 @@ let check_e21 rows =
    mid-CASN death.  The targeted rows must also land exactly the kills
    they asked for. *)
 let check_e22 rows =
-  let open Harness.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "e22 invariant violated: %s\n" m;
-        exit 1)
-      fmt
-  in
-  let str k r = Option.value ~default:"?" (string_value (member k r)) in
-  let num k r =
-    match number_value (member k r) with
-    | Some v -> v
-    | None -> fail "row %S lacks numeric %S" (str "label" r) k
-  in
-  let int_of k r = int_of_float (num k r) in
+  let open Gate (struct
+    let id = "e22"
+    let label = Some "label"
+  end) in
   if List.length rows < 5 then fail "expected >= 5 rows, got %d" (List.length rows);
   List.iter
     (fun r ->
@@ -204,21 +210,10 @@ let check_e22 rows =
    with all peers parked (the lock-freedom differentiator a lock-based
    row could never pass). *)
 let check_e23 rows =
-  let open Harness.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "e23 invariant violated: %s\n" m;
-        exit 1)
-      fmt
-  in
-  let str k r = Option.value ~default:"?" (string_value (member k r)) in
-  let num k r =
-    match number_value (member k r) with
-    | Some v -> v
-    | None -> fail "row %S lacks numeric %S" (str "backend" r) k
-  in
-  let int_of k r = int_of_float (num k r) in
+  let open Gate (struct
+    let id = "e23"
+    let label = Some "backend"
+  end) in
   let section s r = str "section" r = s in
   let shootout = List.filter (section "shootout") rows in
   let frozen = List.filter (section "frozen") rows in
@@ -271,21 +266,10 @@ let check_e23 rows =
    the bar is "bounded under faults on one oversubscribed core", not a
    latency contest. *)
 let check_e24 rows =
-  let open Harness.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "e24 invariant violated: %s\n" m;
-        exit 1)
-      fmt
-  in
-  let str k r = Option.value ~default:"?" (string_value (member k r)) in
-  let num k r =
-    match number_value (member k r) with
-    | Some v -> v
-    | None -> fail "row %S lacks numeric %S" (str "cell" r) k
-  in
-  let int_of k r = int_of_float (num k r) in
+  let open Gate (struct
+    let id = "e24"
+    let label = Some "cell"
+  end) in
   let soak = List.filter (fun r -> str "section" r = "soak") rows in
   let cell c =
     match List.find_opt (fun r -> str "cell" r = c) soak with
@@ -338,21 +322,10 @@ let check_e24 rows =
    finish past its stamped deadline beyond a scheduling epsilon, and
    every scheduled storm window must land. *)
 let check_e25 rows =
-  let open Harness.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "e25 invariant violated: %s\n" m;
-        exit 1)
-      fmt
-  in
-  let str k r = Option.value ~default:"?" (string_value (member k r)) in
-  let num k r =
-    match number_value (member k r) with
-    | Some v -> v
-    | None -> fail "row %S lacks numeric %S" (str "cell" r) k
-  in
-  let int_of k r = int_of_float (num k r) in
+  let open Gate (struct
+    let id = "e25"
+    let label = Some "cell"
+  end) in
   let soak = List.filter (fun r -> str "section" r = "soak") rows in
   let cell c =
     match List.find_opt (fun r -> str "cell" r = c) soak with
@@ -563,7 +536,13 @@ let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =
-  let doc = "DCAS deque experiment tables (E1-E24)" in
+  let first = List.hd Experiments.all
+  and last = List.hd (List.rev Experiments.all) in
+  let doc =
+    Printf.sprintf "DCAS deque experiment tables (%s-%s)"
+      (String.uppercase_ascii first.Experiments.id)
+      (String.uppercase_ascii last.Experiments.id)
+  in
   Cmd.v
     (Cmd.info "bench" ~doc)
     Term.(const main $ quick $ json_file $ check $ compare_flag $ ids)

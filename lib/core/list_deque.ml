@@ -149,7 +149,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
             (* lines 16-26: two logically deleted nodes remain; try to
                point the sentinels at each other (Figure 16). *)
             let old_r = M.get t.sl.right in
-            if old_r.deleted then begin
+            (* SL's marked pointer must still name the null neighbour
+               just read: otherwise the left end has spliced it out and
+               marked another node meanwhile, and joining the sentinels
+               would unlink the live values between them *)
+            if old_r.deleted && node_ref_equal old_r.ptr old_ll then begin
               let new_l = { ptr = Node t.sl; deleted = false } in
               let new_r = { ptr = Node t.sr; deleted = false } in
               if M.dcas t.sr.left t.sl.right old_l old_r new_l new_r then begin
@@ -195,7 +199,8 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
         match M.get rr.value with
         | Null ->
             let old_l = M.get t.sr.left in
-            if old_l.deleted then begin
+            (* mirror of [delete_right]: SR must still point at [rr] *)
+            if old_l.deleted && node_ref_equal old_l.ptr old_rr then begin
               let new_r = { ptr = Node t.sr; deleted = false } in
               let new_l = { ptr = Node t.sl; deleted = false } in
               if M.dcas t.sl.right t.sr.left old_r old_l new_r new_l then begin

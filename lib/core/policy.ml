@@ -97,6 +97,15 @@ module Lat = struct
   let note (t : t) ~ns = Atomic.incr t.(bucket_of ~ns)
   let count (t : t) = Array.fold_left (fun n c -> n + Atomic.get c) 0 t
 
+  let forget_max (t : t) =
+    let rec go b =
+      if b >= 0 then
+        let n = Atomic.get t.(b) in
+        if n = 0 then go (b - 1)
+        else if not (Atomic.compare_and_set t.(b) n (n - 1)) then go b
+    in
+    go (buckets - 1)
+
   (* Upper bound of the bucket holding the q-th ranked observation:
      never underestimates the tail by more than one doubling. *)
   let quantile_ns (t : t) q =

@@ -65,6 +65,10 @@ module Lat : sig
   val count : t -> int
   (** Observations recorded so far. *)
 
+  val forget_max : t -> unit
+  (** Retire one observation from the highest non-empty bucket (no-op
+      when empty), so an old tail can age out without new samples. *)
+
   val quantile_ns : t -> float -> float
   (** [quantile_ns t q] is an upper bound on the [q]-quantile of the
       recorded observations in nanoseconds; [0.] when empty. *)

@@ -182,11 +182,17 @@ module Make (D : Deque_intf.S) = struct
      touches shared state).  Conservative in both directions by
      design: with few observations it admits (cold start), and the
      p99 read is a bucket upper bound (sheds slightly early rather
-     than late). *)
+     than late).  A refused request is never enqueued, so it notes no
+     sojourn; each refusal therefore retires the worst observation
+     instead.  Otherwise a tail left by one past stall would refuse the
+     shard's traffic for good, since nothing fresh could dilute it. *)
   let admit t ~key ~budget =
-    match sojourn_p99_ns t ~shard:(shard_of t ~key) with
-    | None -> true
-    | Some p99_ns -> p99_ns <= budget *. 1e9
+    let shard = shard_of t ~key in
+    match sojourn_p99_ns t ~shard with
+    | Some p99_ns when p99_ns > budget *. 1e9 ->
+        Policy.Lat.forget_max t.sojourn.(shard);
+        false
+    | Some _ | None -> true
 
   (* --- push --- *)
 

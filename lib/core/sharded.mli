@@ -88,7 +88,9 @@ module Make (D : Deque_intf.S) : sig
       p99 sojourn already exceeds [budget] seconds — a request enqueued
       now would almost surely expire before being served, so the caller
       should shed it before pushing.  Admits during cold start (too few
-      observations). *)
+      observations).  Each refusal retires the shard's worst recorded
+      sojourn, so an estimate pushed over budget by a past stall decays
+      and the shard admits again once fresh sojourns are under budget. *)
 
   val pop :
     ?deadline:float -> ?urgent:bool -> 'a t -> key:int ->

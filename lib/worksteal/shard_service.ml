@@ -6,11 +6,12 @@
    module is the control plane that turns it into a service that
    survives fail-stop faults: M producer domains inject keyed traffic
    (open-loop token bucket or closed loop), N consumer domains drain
-   it, and a monitor domain — never enrolled with the crash layer,
-   hence immortal — watches for dead or silent workers, quarantines
-   and adopts a dead consumer's home shard, spawns an epoch-free
+   it, and the {!Supervisor} engine's monitor domain — never enrolled
+   with the crash layer, hence immortal — watches for dead, silent or
+   zombie workers and fences them.  This module's adoption action
+   quarantines and adopts a fenced consumer's home shard and spawns a
    replacement (each crash tid dies at most once, so replacements are
-   immortal), and finally reconciles the pending counter under the
+   immortal); the engine then reconciles the pending counter under the
    same quiescence certificate as {!Scheduler.Make.run_supervised}.
 
    Conservation is the acceptance law, service-wide:
@@ -33,21 +34,17 @@
    no-find scan (the certificate's ingredient) walks every shard,
    quarantined ones included, primary and overflow both.
 
-   Failure detection is two disjoint detectors (Supervisor knobs):
-   tick-based silence ([silence_after]) catches workers whose
-   heartbeat froze (dead without a certificate, or frozen), and
-   progress-based zombie detection ([zombie_after]) catches consumers
-   whose heartbeat keeps ticking while their progress counters — ops
-   resolved plus no-find scans — are frozen (Harness.Stall.Zombie's
-   alive-but-useless mode).  An idle consumer trips neither: its
-   empty scans advance progress, and its deliberate idle-backoff
-   sleeps are flagged ([idling]) so a long park between scans can
-   never be mistaken for silence.  Either detector fences the old
-   worker (it retires at its next loop iteration, even if it wakes
-   later) before the slot is replaced and — for consumers — its home
-   shard is adopted; the owners table holds one tracked entry per
-   slot, so a fenced worker is never examined again and no slot is
-   adopted twice for one failure. *)
+   Failure detection is the engine's two disjoint detectors: silence
+   ([silence_after]) for frozen heartbeats, and zombie detection
+   ([zombie_after]) for consumers whose heartbeat ticks while their
+   progress — ops resolved plus no-find scans — is frozen
+   (Harness.Stall.Zombie's alive-but-useless mode).  Only consumers
+   certify: producers carry no progress measure, since an open-loop
+   producer between token-bucket refills is legitimately idle.  An
+   idle consumer trips neither detector: its empty scans advance
+   progress, and its idle-backoff sleeps are flagged ([idling]) so a
+   long park between scans is never mistaken for silence.  A fenced
+   worker retires at its next loop check, even if it wakes later. *)
 
 type config = {
   shards : int;
@@ -149,14 +146,11 @@ let pp_report ppf r =
 module Make (D : Deque.Deque_intf.S) = struct
   module S = Deque.Sharded.Make (D)
 
-  (* Per-worker-domain state, monitor-readable; all atomics padded
-     (the records sit next to each other in the tracking list). *)
+  (* Per-worker-domain counters, summed into the report; the liveness
+     side lives in the engine's record [w].  All atomics padded. *)
   type wstate = {
-    slot : int;
+    w : Supervisor.worker;
     role : [ `Producer | `Consumer ];
-    busy : bool Atomic.t;  (* inside an operation + its accounting *)
-    ticks : int Atomic.t;  (* liveness heartbeat, bumped every loop *)
-    scans : int Atomic.t;  (* full no-find service scans (consumers) *)
     spawned_w : int Atomic.t;  (* net pending units granted *)
     executed_w : int Atomic.t;
     ok_w : int Atomic.t;
@@ -165,48 +159,42 @@ module Make (D : Deque.Deque_intf.S) = struct
     shed_adm_w : int Atomic.t;  (* refused at enqueue by admission *)
     shed_exp_w : int Atomic.t;  (* budget spent: push timeout / expired pop *)
     late_ns_w : int Atomic.t;  (* max served completion past expiry, ns *)
-    idling : bool Atomic.t;
-    (* inside the deliberate idle-backoff sleep: the monitor must not
-       read the park as silence (the false-silence hazard) *)
-    fenced : bool Atomic.t;
-    (* set by the monitor before replacing this worker: the worker
-       retires at its next loop check, so a presumed-dead worker that
-       wakes up, or a cured zombie, can never run beside its
-       replacement *)
-    died : bool Atomic.t;
-    retired : bool Atomic.t;
   }
 
-  let make_wstate ~slot ~role =
+  (* Progress (as opposed to liveness) is every operation the worker
+     RESOLVED — served, refused, timed out, shed — plus its finished
+     no-find scans, which the engine adds.  A healthy idle consumer
+     keeps completing empty scans, so its progress moves; a zombie's
+     heartbeat moves while this stays frozen.  Producers carry no
+     progress measure: they neither certify nor get zombie-checked. *)
+  let make_wstate cfg ~slot =
+    let c () = Dcas.Padding.make_atomic 0 in
+    let spawned_w = c () and executed_w = c () and ok_w = c () in
+    let full_w = c () and timeout_w = c () and shed_adm_w = c () in
+    let shed_exp_w = c () and late_ns_w = c () in
+    let role = if slot < cfg.producers then `Producer else `Consumer in
+    let progress =
+      match role with
+      | `Producer -> None
+      | `Consumer ->
+          Some
+            (fun () ->
+              Atomic.get executed_w + Atomic.get ok_w + Atomic.get full_w
+              + Atomic.get timeout_w + Atomic.get shed_adm_w
+              + Atomic.get shed_exp_w)
+    in
     {
-      slot;
+      w = Supervisor.worker ?progress ~slot ();
       role;
-      busy = Dcas.Padding.make_atomic false;
-      ticks = Dcas.Padding.make_atomic 0;
-      scans = Dcas.Padding.make_atomic 0;
-      spawned_w = Dcas.Padding.make_atomic 0;
-      executed_w = Dcas.Padding.make_atomic 0;
-      ok_w = Dcas.Padding.make_atomic 0;
-      full_w = Dcas.Padding.make_atomic 0;
-      timeout_w = Dcas.Padding.make_atomic 0;
-      shed_adm_w = Dcas.Padding.make_atomic 0;
-      shed_exp_w = Dcas.Padding.make_atomic 0;
-      late_ns_w = Dcas.Padding.make_atomic 0;
-      idling = Dcas.Padding.make_atomic false;
-      fenced = Dcas.Padding.make_atomic false;
-      died = Dcas.Padding.make_atomic false;
-      retired = Dcas.Padding.make_atomic false;
+      spawned_w;
+      executed_w;
+      ok_w;
+      full_w;
+      timeout_w;
+      shed_adm_w;
+      shed_exp_w;
+      late_ns_w;
     }
-
-  (* Progress (as opposed to liveness): operations this worker has
-     RESOLVED — served, refused, timed out, shed — plus finished
-     no-find scans.  A healthy idle consumer keeps completing empty
-     scans, so its progress moves; a zombie's heartbeat moves while
-     this stays frozen.  That asymmetry is the whole detector. *)
-  let progress ws =
-    Atomic.get ws.executed_w + Atomic.get ws.ok_w + Atomic.get ws.full_w
-    + Atomic.get ws.timeout_w + Atomic.get ws.shed_adm_w
-    + Atomic.get ws.shed_exp_w + Atomic.get ws.scans
 
   (* What travels through the deques: the value plus its deadline
      stamp.  [expiry] is absolute ([infinity] without a deadline) so a
@@ -260,14 +248,14 @@ module Make (D : Deque.Deque_intf.S) = struct
      itself.  Both surface to the observer as the first-class
      [`Timeout] outcome. *)
   let produce st ws ~on_push ~rng value =
-    let cfg = st.cfg in
+    let cfg = st.cfg and w = ws.w in
     let key = Harness.Splitmix.int rng ~bound:cfg.key_space in
     let urgent =
       cfg.urgent_share > 0.
       && Harness.Splitmix.int rng ~bound:10_000
          < int_of_float (cfg.urgent_share *. 10_000.)
     in
-    Atomic.set ws.busy true;
+    Atomic.set w.busy true;
     Atomic.incr st.pending;
     Atomic.incr ws.spawned_w;
     let t0 = Unix.gettimeofday () in
@@ -308,23 +296,23 @@ module Make (D : Deque.Deque_intf.S) = struct
             `Timeout
     in
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    Atomic.set ws.busy false;
-    on_push ~tid:ws.slot ~ns out;
-    tick_wd st ~tid:ws.slot
+    Atomic.set w.busy false;
+    on_push ~tid:w.slot ~ns out;
+    tick_wd st ~tid:w.slot
 
   let producer_loop st ws ~on_push =
-    let cfg = st.cfg in
+    let cfg = st.cfg and w = ws.w in
     let rng =
-      Harness.Splitmix.create ~seed:(cfg.seed + (ws.slot * 7919) + 1)
+      Harness.Splitmix.create ~seed:(cfg.seed + (w.slot * 7919) + 1)
     in
     let t_start = Unix.gettimeofday () in
     let sent = ref 0 in
-    while not (Atomic.get st.stop) && not (Atomic.get ws.fenced) do
-      Atomic.incr ws.ticks;
-      if Harness.Stall.Zombie.active ~tid:ws.slot then begin
+    while not (Atomic.get st.stop) && not (Atomic.get w.fenced) do
+      Atomic.incr w.ticks;
+      if Harness.Stall.Zombie.active ~tid:w.slot then begin
         (* zombified: alive and ticking, injecting nothing *)
-        Harness.Stall.Zombie.bite ~tid:ws.slot;
-        tick_wd st ~tid:ws.slot;
+        Harness.Stall.Zombie.bite ~tid:w.slot;
+        tick_wd st ~tid:w.slot;
         Unix.sleepf 0.0001
       end
       else if cfg.rate <= 0. then begin
@@ -352,8 +340,8 @@ module Make (D : Deque.Deque_intf.S) = struct
   (* --- consumer --- *)
 
   let consumer_loop st ws ~on_pop =
-    let cfg = st.cfg in
-    let home = consumer_shard cfg ~slot:ws.slot in
+    let cfg = st.cfg and w = ws.w in
+    let home = consumer_shard cfg ~slot:w.slot in
     let key = key_for st.service ~shard:home in
     (* Park briefly (busy=false) after a run of consecutive no-finds.
        Besides not burning a core on an idle service, this is what
@@ -363,22 +351,22 @@ module Make (D : Deque.Deque_intf.S) = struct
        always. *)
     let idle = ref 0 in
     let rec loop () =
-      if Atomic.get ws.fenced then ()  (* replaced: retire quietly *)
+      if Atomic.get w.fenced then ()  (* replaced: retire quietly *)
       else if Atomic.get st.drained then ()
-      else if Harness.Stall.Zombie.active ~tid:ws.slot then begin
+      else if Harness.Stall.Zombie.active ~tid:w.slot then begin
         (* zombified: the heartbeat ticks, the watchdog is fed, and no
            work happens — indistinguishable from healthy by every
            liveness signal, which is the point; only the frozen
            progress counters give it away *)
-        Atomic.incr ws.ticks;
-        Harness.Stall.Zombie.bite ~tid:ws.slot;
-        tick_wd st ~tid:ws.slot;
+        Atomic.incr w.ticks;
+        Harness.Stall.Zombie.bite ~tid:w.slot;
+        tick_wd st ~tid:w.slot;
         Unix.sleepf 0.0001;
         loop ()
       end
       else begin
-        Atomic.incr ws.ticks;
-        Atomic.set ws.busy true;
+        Atomic.incr w.ticks;
+        Atomic.set w.busy true;
         let t0 = Unix.gettimeofday () in
         (* urgent-side pops: left end first = urgent entries, then the
            oldest bulk — FIFO service with priority jumping.  A pop that
@@ -425,15 +413,15 @@ module Make (D : Deque.Deque_intf.S) = struct
                 `Value it.v
               end
           | `Empty ->
-              Atomic.incr ws.scans;
+              Atomic.incr w.scans;
               `Empty
           | `Timeout ->
               Atomic.incr ws.timeout_w;
               `Timeout
         in
-        Atomic.set ws.busy false;
-        on_pop ~tid:ws.slot ~ns out';
-        tick_wd st ~tid:ws.slot;
+        Atomic.set w.busy false;
+        on_pop ~tid:w.slot ~ns out';
+        tick_wd st ~tid:w.slot;
         if Atomic.get st.drained then ()
         else begin
           (match out with
@@ -444,9 +432,9 @@ module Make (D : Deque.Deque_intf.S) = struct
                 (* flag the deliberate park: an idle consumer
                    descheduled inside this sleep must read as idling,
                    never as silent (the false-silence hazard) *)
-                Atomic.set ws.idling true;
+                Atomic.set w.idling true;
                 Unix.sleepf 0.0005;
-                Atomic.set ws.idling false
+                Atomic.set w.idling false
               end
               else Domain.cpu_relax ());
           loop ()
@@ -458,44 +446,31 @@ module Make (D : Deque.Deque_intf.S) = struct
   (* --- domain bodies --- *)
 
   let body st ws ~on_push ~on_pop () =
-    if ws.slot < Harness.Crash.max_slots then
-      Harness.Crash.enroll ~tid:ws.slot;
-    if ws.slot < Harness.Stall.Freezer.max_slots then
-      Harness.Stall.Freezer.enroll ~tid:ws.slot;
-    (match ws.role with
-    | `Producer -> (
-        try producer_loop st ws ~on_push
-        with Harness.Crash.Died ->
-          Atomic.set ws.died true)
-    | `Consumer -> (
-        try consumer_loop st ws ~on_pop
-        with Harness.Crash.Died -> Atomic.set ws.died true));
+    let w = ws.w in
+    if w.slot < Harness.Crash.max_slots then
+      Harness.Crash.enroll ~tid:w.slot;
+    if w.slot < Harness.Stall.Freezer.max_slots then
+      Harness.Stall.Freezer.enroll ~tid:w.slot;
+    (try
+       match ws.role with
+       | `Producer -> producer_loop st ws ~on_push
+       | `Consumer -> consumer_loop st ws ~on_pop
+     with Harness.Crash.Died -> Atomic.set w.died true);
     (match ws.role with
     | `Producer -> Atomic.decr st.producers_running
     | `Consumer -> ());
-    Atomic.set ws.retired true
+    Atomic.set w.retired true
 
-  (* --- monitor --- *)
-
-  type tracked = {
-    ws : wstate;
-    domain : unit Domain.t option;  (* None for initial workers *)
-    mutable last_ticks : int;
-    mutable last_move : float;
-    mutable last_progress : int;
-    mutable last_progress_move : float;
-  }
-
-  let sum field tracked =
-    List.fold_left (fun n t -> n + Atomic.get (field t.ws)) 0 tracked
-
-  (* Replace the dead/silent owner of [slot].  Consumers additionally
+  (* The adoption action for a fenced worker.  Consumers additionally
      get their home shard quarantined, drained into the survivors and
      revived for the replacement — the adoption path under test. *)
-  let replace st ~on_push ~on_pop ~slot ~role =
-    let moved =
-      match role with
-      | `Producer -> 0
+  let replace st ~on_push ~on_pop ~slot (old : wstate) :
+      wstate Supervisor.replacement =
+    let adopted =
+      match old.role with
+      | `Producer ->
+          Atomic.incr st.producers_running;
+          0
       | `Consumer ->
           let shard = consumer_shard st.cfg ~slot in
           S.quarantine st.service ~shard;
@@ -503,176 +478,23 @@ module Make (D : Deque.Deque_intf.S) = struct
           S.revive st.service ~shard;
           n
     in
-    let ws = make_wstate ~slot ~role in
-    (match role with
-    | `Producer -> Atomic.incr st.producers_running
-    | `Consumer -> ());
-    let d = Domain.spawn (body st ws ~on_push ~on_pop) in
-    (moved, ws, d)
+    let ws = make_wstate st.cfg ~slot in
+    {
+      adopted;
+      worker = ws.w;
+      state = ws;
+      domain = Some (Domain.spawn (body st ws ~on_push ~on_pop));
+    }
 
-  let supervise st ~on_push ~on_pop ~initial =
-    let cfg = st.cfg in
-    let tracked = ref initial in
-    let owners = Array.of_list initial in
-    let adoptions = ref 0 in
-    let adopted_items = ref 0 in
-    let reconciled = ref 0 in
-    let replacements = ref 0 in
-    let presumed = ref 0 in
-    let zombies = ref 0 in
-    let recoveries = ref [] in
-    let q = Supervisor.quiescence () in
-    let debug = Sys.getenv_opt "SHARD_SERVICE_DEBUG" <> None in
-    let finished () =
-      Atomic.get st.drained
-      && List.for_all
-           (fun t ->
-             Atomic.get t.ws.retired || Atomic.get t.ws.died)
-           !tracked
-    in
-    while not (finished ()) do
-      let now = Unix.gettimeofday () in
-      Array.iteri
-        (fun slot t ->
-          let dead = Atomic.get t.ws.died in
-          let gone = dead || Atomic.get t.ws.retired in
-          (* heartbeat sampling is shared by both detectors, so it is
-             tracked unconditionally (not inside the silence guard):
-             zombie detection must know the ticks are MOVING even when
-             silence detection is disabled *)
-          let ticks_moving =
-            let ticks = Atomic.get t.ws.ticks in
-            if ticks <> t.last_ticks then begin
-              t.last_ticks <- ticks;
-              t.last_move <- now;
-              true
-            end
-            else false
-          in
-          (* ticks frozen too long: dead without a certificate, or
-             frozen mid-operation.  The deliberate idle-backoff sleep
-             is excluded ([idling]) — an idle consumer descheduled
-             inside its park is healthy, not silent. *)
-          let silent =
-            cfg.sup.silence_after > 0. && (not gone) && (not ticks_moving)
-            && (not (Atomic.get t.ws.idling))
-            && now -. t.last_move >= cfg.sup.silence_after
-          in
-          (* ticks moving, progress frozen: a zombie.  Consumers only —
-             an open-loop producer between token-bucket refills is
-             legitimately not progressing.  [ticks_moving] is required
-             on the very sweep that crosses the threshold: a healthy
-             consumer descheduled for a long spell (oversubscribed
-             box) freezes ticks and progress together, and must not
-             read as a zombie — only a demonstrably beating heart with
-             frozen progress is one.  Disjoint from [silent] by
-             construction, so one worker can only ever be claimed by
-             one detector per sweep, and the fence below makes the
-             claim final. *)
-          let zombie =
-            cfg.sup.zombie_after > 0. && (not gone) && (not silent)
-            && t.ws.role = `Consumer
-            &&
-            let p = progress t.ws in
-            if p <> t.last_progress then begin
-              t.last_progress <- p;
-              t.last_progress_move <- now;
-              false
-            end
-            else
-              ticks_moving
-              && (not (Atomic.get t.ws.idling))
-              && now -. t.last_progress_move >= cfg.sup.zombie_after
-          in
-          if dead || silent || zombie then begin
-            if silent then incr presumed;
-            if zombie then incr zombies;
-            (* fence before replacing: the old worker retires at its
-               next loop check, so a silent worker that wakes up or a
-               zombie that gets cured never runs beside its
-               replacement — and since the owners table now points at
-               the replacement, this slot's failure is acted on
-               exactly once (no double-adoption) *)
-            Atomic.set t.ws.fenced true;
-            let role = t.ws.role in
-            let moved, ws, d = replace st ~on_push ~on_pop ~slot ~role in
-            (match role with
-            | `Consumer ->
-                incr adoptions;
-                adopted_items := !adopted_items + moved
-            | `Producer -> ());
-            incr replacements;
-            recoveries := (Unix.gettimeofday () -. now) :: !recoveries;
-            let t' =
-              {
-                ws;
-                domain = Some d;
-                last_ticks = Atomic.get ws.ticks;
-                last_move = Unix.gettimeofday ();
-                last_progress = progress ws;
-                last_progress_move = Unix.gettimeofday ();
-              }
-            in
-            owners.(slot) <- t';
-            tracked := t' :: !tracked
-          end)
-        owners;
-      (* producers gone + pending drained => consumers may leave *)
-      if
-        Atomic.get st.stop
-        && Atomic.get st.producers_running = 0
-        && Atomic.get st.pending = 0
-      then Atomic.set st.drained true;
-      (* quiescence: write off units stranded by deaths.  Only
-         consumer scans certify — their no-find scan walks every
-         shard of the service. *)
-      let live t =
-        (not (Atomic.get t.ws.died)) && not (Atomic.get t.ws.retired)
-      in
-      let live_consumers =
-        List.filter (fun t -> live t && t.ws.role = `Consumer) !tracked
-      in
-      let busy =
-        List.exists (fun t -> live t && Atomic.get t.ws.busy) !tracked
-      in
-      let scans =
-        Array.of_list
-          (List.map (fun t -> Atomic.get t.ws.scans) live_consumers)
-      in
-      let pending = Atomic.get st.pending in
-      let safe =
-        Atomic.get st.stop
-        && Atomic.get st.producers_running = 0
-        && Supervisor.observe q ~pending
-             ~executed:(sum (fun w -> w.executed_w) !tracked)
-             ~spawned:(sum (fun w -> w.spawned_w) !tracked)
-             ~busy ~scans ~quiet_sweeps:cfg.sup.quiet_sweeps
-      in
-      if safe && Atomic.compare_and_set st.pending pending 0 then
-        reconciled := !reconciled + pending;
-      (* monitor-eye view of the drain, for diagnosing stuck soaks
-         (notably: busy never sampling false on few cores) *)
-      if debug then
-        Printf.eprintf
-            "[mon] stop=%b pr=%d pending=%d drained=%b busy=%b scans=[%s] \
-             tracked=%d retired=%d died=%d\n%!"
-            (Atomic.get st.stop)
-            (Atomic.get st.producers_running)
-            pending (Atomic.get st.drained) busy
-            (String.concat ","
-               (List.map string_of_int (Array.to_list scans)))
-            (List.length !tracked)
-            (List.length
-               (List.filter (fun t -> Atomic.get t.ws.retired) !tracked))
-            (List.length
-               (List.filter (fun t -> Atomic.get t.ws.died) !tracked));
-      Unix.sleepf cfg.sup.interval
-    done;
-    List.iter
-      (fun t -> match t.domain with None -> () | Some d -> Domain.join d)
-      !tracked;
-    (!tracked, !adoptions, !adopted_items, !reconciled, !replacements,
-     !presumed, !zombies, !recoveries)
+  (* Consumers may leave once the producers are gone and pending has
+     drained; reconciliation waits for the producers too. *)
+  let producers_done st =
+    Atomic.get st.stop && Atomic.get st.producers_running = 0
+
+  let finished st () =
+    if producers_done st && Atomic.get st.pending = 0 then
+      Atomic.set st.drained true;
+    Atomic.get st.drained
 
   (* --- entry point --- *)
 
@@ -704,81 +526,65 @@ module Make (D : Deque.Deque_intf.S) = struct
         wd = watchdog;
       }
     in
-    let workers = config.producers + config.consumers in
     let wss =
-      Array.init workers (fun slot ->
-          let role =
-            if slot < config.producers then `Producer else `Consumer
-          in
-          make_wstate ~slot ~role)
+      List.init (config.producers + config.consumers) (fun slot ->
+          make_wstate config ~slot)
     in
     Option.iter Harness.Watchdog.start watchdog;
     let t0 = Unix.gettimeofday () in
+    let m =
+      Supervisor.monitor config.sup ~pending:st.pending
+        ~executed:(fun ws -> ws.executed_w)
+        ~spawned:(fun ws -> ws.spawned_w)
+        ~may_reconcile:(fun () -> producers_done st)
+        ~replace:(replace st ~on_push ~on_pop)
+        (List.map (fun ws -> (ws.w, ws)) wss)
+    in
     let initial =
-      Array.to_list
-        (Array.map
-           (fun ws ->
-             let d = Domain.spawn (body st ws ~on_push ~on_pop) in
-             ( d,
-               {
-                 ws;
-                 domain = None;
-                 last_ticks = 0;
-                 last_move = t0;
-                 last_progress = 0;
-                 last_progress_move = t0;
-               } ))
-           wss)
+      List.map (fun ws -> Domain.spawn (body st ws ~on_push ~on_pop)) wss
     in
     let sup =
-      Domain.spawn (fun () ->
-          supervise st ~on_push ~on_pop
-            ~initial:(List.map snd initial))
+      Domain.spawn (fun () -> Supervisor.run m ~finished:(finished st))
     in
     (match driver with
     | Some f -> f ()
     | None -> Unix.sleepf duration);
     Atomic.set st.stop true;
-    List.iter (fun (d, _) -> Domain.join d) initial;
-    let ( tracked, adoptions, adopted_items, reconciled, replacements,
-          presumed, zombies, recoveries ) =
-      Domain.join sup
-    in
+    List.iter Domain.join initial;
+    let t = Domain.join sup in
     Option.iter (fun w -> ignore (Harness.Watchdog.stop w)) watchdog;
     let elapsed = Unix.gettimeofday () -. t0 in
     (* survivors must decide every descriptor a dead domain left
        undecided before the quiescent drain reads past them *)
     let orphans_helped = Dcas.Mem_lockfree.help_orphans () in
     let leftover = List.length (S.drain service) in
-    let killed =
-      List.fold_left
-        (fun n t -> if Atomic.get t.ws.died then n + 1 else n)
-        0 tracked
-    in
+    let states = Supervisor.states m in
+    let sum field = Supervisor.total field states in
     let stats = S.stats service in
     {
-      spawned = sum (fun w -> w.spawned_w) tracked;
-      executed = sum (fun w -> w.executed_w) tracked;
-      reconciled;
-      shed_admission = sum (fun w -> w.shed_adm_w) tracked;
-      shed_expired = sum (fun w -> w.shed_exp_w) tracked;
+      spawned = sum (fun ws -> ws.spawned_w);
+      executed = sum (fun ws -> ws.executed_w);
+      reconciled = t.reconciled;
+      shed_admission = sum (fun ws -> ws.shed_adm_w);
+      shed_expired = sum (fun ws -> ws.shed_exp_w);
       leftover;
-      pushed_ok = sum (fun w -> w.ok_w) tracked;
-      push_full = sum (fun w -> w.full_w) tracked;
-      timeouts = sum (fun w -> w.timeout_w) tracked;
-      empty_scans = sum (fun w -> w.scans) tracked;
+      pushed_ok = sum (fun ws -> ws.ok_w);
+      push_full = sum (fun ws -> ws.full_w);
+      timeouts = sum (fun ws -> ws.timeout_w);
+      empty_scans = sum (fun ws -> ws.w.scans);
       overshoot_max_ns =
-        List.fold_left
-          (fun m t -> max m (Atomic.get t.ws.late_ns_w))
-          0 tracked;
-      killed;
-      presumed_dead = presumed;
-      zombies_fenced = zombies;
-      replacements;
-      adoptions;
-      adopted_items;
+        List.fold_left (fun m ws -> max m (Atomic.get ws.late_ns_w)) 0 states;
+      killed = t.killed;
+      presumed_dead = t.presumed_dead;
+      zombies_fenced = t.zombies_fenced;
+      replacements = t.replacements;
+      (* every consumer state beyond the initial ones is an adoption *)
+      adoptions =
+        List.length (List.filter (fun ws -> ws.role = `Consumer) states)
+        - config.consumers;
+      adopted_items = t.adopted;
       orphans_helped;
-      recoveries = List.rev recoveries;
+      recoveries = t.recoveries;
       per_shard_pushed = stats.Deque.Sharded.per_shard_pushed;
       per_shard_popped = stats.Deque.Sharded.per_shard_popped;
       elapsed;

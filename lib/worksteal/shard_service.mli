@@ -1,10 +1,13 @@
 (** A supervised producer/consumer service over {!Deque.Sharded}
     (ROADMAP item 3, experiment E24): M producer domains inject keyed
     traffic over K policy-wrapped shards, N consumer domains drain
-    them, and an immortal monitor domain replaces dead or silent
-    workers, adopting a dead consumer's home shard (quarantine, drain
-    into survivors, revive for the replacement) and reconciling the
-    pending counter under the {!Supervisor} quiescence certificate.
+    them, and the {!Supervisor} monitor engine — on an immortal domain,
+    the same engine as {!Scheduler.Make.run_supervised} — fences and
+    replaces dead, silent or zombie workers.  The service's adoption
+    action takes over a failed consumer's home shard (quarantine,
+    drain into survivors, revive for the replacement), and the engine
+    reconciles the pending counter under its quiescence certificate
+    once the producers have stopped.
 
     The acceptance law, service-wide and fault-storm-proof:
 
@@ -19,9 +22,10 @@
     stamped expiry resolve their unit as first-class timed-out
     outcomes that stay on the books.
 
-    Failure detection is two disjoint detectors: tick-based silence
-    ([silence_after]) for frozen heartbeats, and progress-based zombie
-    detection ([zombie_after]) for consumers whose heartbeat ticks
+    Failure detection is the engine's two disjoint detectors:
+    tick-based silence ([silence_after]) for frozen heartbeats, and
+    progress-based zombie detection ([zombie_after]) for consumers —
+    the only workers that certify quiescence — whose heartbeat ticks
     while their progress counters are frozen
     ({!Harness.Stall.Zombie}).  Idle consumers trip neither — their
     empty scans advance progress, and their idle-backoff parks are

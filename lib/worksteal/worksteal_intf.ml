@@ -75,13 +75,16 @@ module type SCHEDULER = sig
     (ctx -> unit) ->
     Supervisor.report
   (** Like [run], but crash-fault tolerant: workers enroll with
-      {!Harness.Crash} (slot = worker index) and a supervisor domain —
-      never enrolled, hence immortal — monitors them.  When a worker
-      dies ({!Harness.Crash.Died}) or goes silent past
-      [config.silence_after], the supervisor bumps the slot's epoch
-      (fencing any zombie: its stale pushes run inline), drains the
-      abandoned deque from the thief end, and spawns a replacement
-      that adopts the drained tasks on a fresh deque.  Pending units
+      {!Harness.Crash} (slot = worker index) and the {!Supervisor}
+      monitor engine runs on its own domain — never enrolled, hence
+      immortal.  When a worker dies ({!Harness.Crash.Died}), goes
+      silent past [config.silence_after], or ticks without completing
+      a task or a no-find scan for [config.zombie_after] (when
+      positive), the engine fences it — an alive fenced worker runs
+      any spawn or stolen task it still holds inline and retires at
+      its next loop check — and the scheduler drains the abandoned
+      deque from the thief end and spawns a replacement that adopts
+      the drained tasks on a fresh deque.  Pending units
       irrecoverably lost with a death — the task it was executing, a
       child mid-push, a stolen batch in hand; at most
       [steal_batch + 2] per death — are written off ([reconciled])

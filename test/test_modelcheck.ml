@@ -297,6 +297,39 @@ let fuzz_tests =
              threads));
   ]
 
+(* Regression replays for the two-null-nodes branch of the physical
+   deletes (Figure 17 lines 16-26 and its Figure 34 mirror).  Between
+   reading the null neighbour and re-reading the opposite sentinel, the
+   other end spliced that neighbour out, pushed twice and popped once,
+   leaving the sentinel marked on a different node; joining the
+   sentinels then unlinked the live value 3 and a later pop reported
+   empty.  Both tokens are PCT finds (seed 42, depth 3, run 493). *)
+let two_null_replays =
+  [
+    ( "delete_left keeps SR's neighbour",
+      "dqf1/qr,pr:3,pr:4,qr|ql,ql,ql/\
+       0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1" );
+    ( "delete_right keeps SL's neighbour",
+      "dqf1/ql,pl:3,pl:4,ql|qr,qr,qr/\
+       0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1" );
+  ]
+
+let two_null_replay_tests =
+  List.map
+    (fun (name, token) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let scenario =
+            Modelcheck.Scenario.list_deque ~name:"two-null" ~prefill:[ 1; 2 ]
+              []
+          in
+          match Modelcheck.Fuzz.replay scenario ~token with
+          | Error e -> Alcotest.fail e
+          | Ok (_, None) -> ()
+          | Ok (_, Some f) ->
+              Alcotest.failf "%s@.%s" f.Modelcheck.Fuzz.reason
+                f.Modelcheck.Fuzz.pretty_history))
+    two_null_replays
+
 (* The explorer is deterministic: replaying the same decision function
    over the same scenario yields byte-identical histories.  (This is
    what makes stateless DFS enumeration sound.) *)
@@ -566,6 +599,7 @@ let () =
           Alcotest.test_case "shed conserves" `Slow test_sharded_shed_conserves;
         ] );
       ("scenario fuzzing", fuzz_tests);
+      ("two-null delete replays", two_null_replay_tests);
       ( "determinism",
         [
           Alcotest.test_case "replay is deterministic" `Quick

@@ -366,6 +366,34 @@ let test_deadline_sheds_conserve () =
   Alcotest.(check bool) "no served op finished far past its deadline" true
     (r.Svc.overshoot_max_ns <= 50_000_000)
 
+(* --- admission control --- *)
+
+(* A stall that pushes a shard's p99 sojourn over budget must not latch
+   admission shut.  A refused request is never enqueued and notes no
+   sojourn, so the estimate recovers only if refusals age the stale
+   tail out.  The loop is the service's closed loop in miniature: an
+   admitted request is served and notes a fresh, under-budget
+   sojourn. *)
+let test_admission_recovers () =
+  let t = Sh.create ~shards:2 ~capacity:8 () in
+  let key = 0 and budget = 0.05 in
+  let shard = Sh.shard_of t ~key in
+  for _ = 1 to 100 do
+    Sh.note_sojourn t ~shard ~ns:1e9
+  done;
+  Alcotest.(check bool) "stall tail refuses" false (Sh.admit t ~key ~budget);
+  for _ = 1 to 1000 do
+    if Sh.admit t ~key ~budget then Sh.note_sojourn t ~shard ~ns:1e5
+  done;
+  (match Sh.sojourn_p99_ns t ~shard with
+  | Some p99 ->
+      Alcotest.(check bool) "estimate back under budget" true
+        (p99 <= budget *. 1e9)
+  | None -> Alcotest.fail "fresh sojourns were never recorded");
+  for _ = 1 to 100 do
+    Alcotest.(check bool) "admits" true (Sh.admit t ~key ~budget)
+  done
+
 let () =
   let tiered = Test_support.tiered in
   Alcotest.run "sharded"
@@ -389,6 +417,8 @@ let () =
             test_steal_rebalancing;
           Alcotest.test_case "quarantine and adoption" `Quick
             test_adoption;
+          Alcotest.test_case "admission recovers after a stall" `Quick
+            test_admission_recovers;
         ] );
       ( "supervised service",
         [

@@ -134,6 +134,148 @@ let repeatability =
         Alcotest.(check int) "same value" a b);
   ]
 
+(* --- The supervision engine, driven by hand ---
+
+   A fake pool: no domains, workers are bare records the test moves by
+   hand, a replacement is a fresh record, and the engine's clock reads
+   the explicit [now] of the current sweep.  Every detector decision is
+   therefore deterministic. *)
+
+module Sup = Worksteal.Supervisor
+
+type fake = {
+  m : unit Sup.monitor;
+  clock : float ref;
+  hires : Sup.worker list ref;  (* replacements, newest first *)
+}
+
+let fake ?(silence = 0.) ?(zombie = 0.) workers =
+  let clock = ref 0. and hires = ref [] in
+  let zero = Atomic.make 0 in
+  let replace ~slot () =
+    let w = Sup.worker ~progress:(fun () -> 0) ~slot () in
+    hires := w :: !hires;
+    { Sup.adopted = 0; worker = w; state = (); domain = None }
+  in
+  let config =
+    { Sup.default with silence_after = silence; zombie_after = zombie }
+  in
+  let m =
+    Sup.monitor ~clock:(fun () -> !clock) config ~pending:(Atomic.make 0)
+      ~executed:(fun () -> zero)
+      ~spawned:(fun () -> zero)
+      ~may_reconcile:(fun () -> true)
+      ~replace
+      (List.map (fun w -> (w, ())) workers)
+  in
+  { m; clock; hires }
+
+let sweep_at f now =
+  f.clock := now;
+  Sup.sweep f.m ~now
+
+let fenced (w : Sup.worker) = Atomic.get w.fenced
+
+let test_silent_replaced_once () =
+  let victim = Sup.worker ~slot:0 () in
+  let f = fake ~silence:0.25 [ victim ] in
+  List.iter
+    (fun now ->
+      (* the replacement's heart keeps beating *)
+      List.iter (fun (w : Sup.worker) -> Atomic.incr w.ticks) !(f.hires);
+      sweep_at f now;
+      Alcotest.(check bool)
+        (Printf.sprintf "fenced iff silent past the threshold at %.1f" now)
+        (now >= 0.25) (fenced victim))
+    [ 0.1; 0.2; 0.3; 0.4; 1.0; 5.0 ];
+  let t = Sup.tally f.m in
+  Alcotest.(check int) "replaced exactly once" 1 (List.length !(f.hires));
+  Alcotest.(check int) "presumed dead" 1 t.presumed_dead;
+  Alcotest.(check int) "no zombie" 0 t.zombies_fenced;
+  Alcotest.(check int) "one recovery timed" 1 (List.length t.recoveries)
+
+let test_zombie_needs_moving_ticks () =
+  let w = Sup.worker ~progress:(fun () -> 0) ~slot:0 () in
+  let f = fake ~zombie:0.1 [ w ] in
+  Atomic.incr w.ticks;
+  sweep_at f 0.05;
+  Alcotest.(check bool) "below the threshold" false (fenced w);
+  (* past the threshold with frozen ticks: a descheduled worker, not a
+     zombie *)
+  sweep_at f 0.2;
+  sweep_at f 0.3;
+  Alcotest.(check bool) "ticks frozen on the crossing sweep" false (fenced w);
+  Atomic.incr w.ticks;
+  sweep_at f 0.4;
+  Alcotest.(check bool) "ticks moving, progress frozen" true (fenced w);
+  let t = Sup.tally f.m in
+  Alcotest.(check int) "counted as a zombie" 1 t.zombies_fenced;
+  Alcotest.(check int) "not as silent" 0 t.presumed_dead;
+  Alcotest.(check int) "replaced" 1 (List.length !(f.hires))
+
+let test_idling_never_silent () =
+  let w = Sup.worker ~slot:0 () in
+  Atomic.set w.idling true;
+  let f = fake ~silence:0.25 [ w ] in
+  List.iter (sweep_at f) [ 0.1; 0.3; 1.0; 10.0; 100.0 ];
+  Alcotest.(check bool) "never fenced" false (fenced w);
+  Alcotest.(check int) "never replaced" 0 (List.length !(f.hires))
+
+let test_frozen_together_not_zombie () =
+  let done_ = Atomic.make 0 in
+  let w = Sup.worker ~progress:(fun () -> Atomic.get done_) ~slot:0 () in
+  let f = fake ~zombie:0.1 [ w ] in
+  Atomic.incr w.ticks;
+  Atomic.incr done_;
+  sweep_at f 0.05;
+  (* from here on neither ticks nor progress move *)
+  List.iter (sweep_at f) [ 0.1; 0.2; 0.5; 1.0; 10.0 ];
+  Alcotest.(check bool) "never fenced" false (fenced w);
+  Alcotest.(check int) "no zombie" 0 (Sup.tally f.m).zombies_fenced
+
+let test_fenced_never_judged_again () =
+  let calls = ref 0 in
+  let w =
+    Sup.worker ~progress:(fun () -> incr calls; 0) ~slot:0 ()
+  in
+  let f = fake ~zombie:0.1 [ w ] in
+  Atomic.incr w.ticks;
+  sweep_at f 0.2;
+  Alcotest.(check bool) "fenced as a zombie" true (fenced w);
+  let seen = !calls in
+  (* the fenced worker keeps looking like a zombie, then dies; the
+     slot's owner is now the replacement, so none of it is judged *)
+  List.iter
+    (fun now ->
+      Atomic.incr w.ticks;
+      sweep_at f now)
+    [ 0.3; 0.5; 1.0 ];
+  Atomic.set w.died true;
+  List.iter (sweep_at f) [ 1.1; 1.2 ];
+  Alcotest.(check int) "progress never sampled again" seen !calls;
+  Alcotest.(check int) "replaced exactly once" 1 (List.length !(f.hires));
+  Alcotest.(check int) "one zombie" 1 (Sup.tally f.m).zombies_fenced
+
+(* The scheduler honours [zombie_after]: its workers certify, so the
+   detector watches them, and a healthy run — every loop iteration
+   completes a task or a no-find scan — fences nobody. *)
+let test_scheduler_zombie_after_healthy () =
+  let module S = Worksteal.Scheduler.Array_scheduler in
+  let sum = Atomic.make 0 in
+  let rec fib n ctx =
+    if n < 2 then ignore (Atomic.fetch_and_add sum n)
+    else begin
+      S.spawn ctx (fib (n - 1));
+      S.spawn ctx (fib (n - 2))
+    end
+  in
+  let config = { Sup.default with zombie_after = 0.1 } in
+  let r = S.run_supervised ~config ~workers:2 ~capacity:1024 (fib 26) in
+  Alcotest.(check int) "fib result" (seq_fib 26) (Atomic.get sum);
+  Alcotest.(check bool) "conserved" true (Sup.conserved r);
+  Alcotest.(check int) "nobody replaced" 0 r.replacements;
+  Alcotest.(check int) "nothing reconciled" 0 r.reconciled
+
 let () =
   Alcotest.run "worksteal"
     [
@@ -143,4 +285,19 @@ let () =
       ( "steal batching",
         steal_batch_semantics_tests @ steal_batch_scheduler_tests );
       ("repeatability", repeatability);
+      ( "supervision",
+        [
+          Alcotest.test_case "silent worker replaced exactly once" `Quick
+            test_silent_replaced_once;
+          Alcotest.test_case "zombie needs moving ticks" `Quick
+            test_zombie_needs_moving_ticks;
+          Alcotest.test_case "idling worker never silent" `Quick
+            test_idling_never_silent;
+          Alcotest.test_case "frozen ticks and progress: no zombie" `Quick
+            test_frozen_together_not_zombie;
+          Alcotest.test_case "fenced worker never judged again" `Quick
+            test_fenced_never_judged_again;
+          Alcotest.test_case "scheduler honours zombie_after" `Slow
+            test_scheduler_zombie_after_healthy;
+        ] );
     ]
