@@ -66,183 +66,129 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
 
   let create ~capacity () = make ~length:capacity ()
 
+  (* Each operation is a retry loop written as a top-level function of
+     the deque, the pushed value and the backoff state, so a call that
+     succeeds at its first attempt allocates no loop closure and no
+     backoff: [b] starts as [None] and [Dcas.Backoff.once_lazy] creates
+     the state at the first failure. *)
+
   (* Figure 2: right-hand-side pop. *)
-  let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_r = M.get t.r in
-      let new_r = (old_r - 1) %% t.length in
-      let old_s = M.get t.s.(new_r) in
-      match old_s with
-      | Null ->
-          (* Lines 6-11: possibly empty; confirm the (index, null cell)
-             pair atomically before reporting it. *)
-          if (not t.hints) || M.get t.r = old_r then
-            if M.dcas t.r t.s.(new_r) old_r old_s old_r old_s then `Empty
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Item v ->
-          (* Lines 12-20: try to claim the item. *)
-          if t.hints then begin
-            let ok, got_r, got_s =
-              M.dcas_strong t.r t.s.(new_r) old_r old_s new_r Null
-            in
-            if ok then `Value v
-            else if got_r = old_r then
-              (* Lines 17-18: index unchanged, so the cell changed; if
-                 it is now null a competing pop on the other side stole
-                 the last item (Figure 6) and the deque was empty at
-                 the DCAS. *)
-              match got_s with
-              | Null -> `Empty
-              | Item _ ->
-                  Dcas.Backoff.once b;
-                  loop ()
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.r t.s.(new_r) old_r old_s new_r Null then `Value v
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec pop_right_from t b =
+    let old_r = M.get t.r in
+    let new_r = (old_r - 1) %% t.length in
+    let old_s = M.get t.s.(new_r) in
+    match old_s with
+    | Null ->
+        (* Lines 6-11: possibly empty; confirm the (index, null cell)
+           pair atomically before reporting it. *)
+        if (not t.hints) || M.get t.r = old_r then
+          if M.dcas t.r t.s.(new_r) old_r old_s old_r old_s then `Empty
+          else pop_right_from t (Dcas.Backoff.once_lazy b)
+        else pop_right_from t (Dcas.Backoff.once_lazy b)
+    | Item v ->
+        (* Lines 12-20: try to claim the item. *)
+        if t.hints then begin
+          let ok, got_r, got_s =
+            M.dcas_strong t.r t.s.(new_r) old_r old_s new_r Null
+          in
+          if ok then `Value v
+          else if got_r = old_r then
+            (* Lines 17-18: index unchanged, so the cell changed; if it
+               is now null a competing pop on the other side stole the
+               last item (Figure 6) and the deque was empty at the
+               DCAS. *)
+            match got_s with
+            | Null -> `Empty
+            | Item _ -> pop_right_from t (Dcas.Backoff.once_lazy b)
+          else pop_right_from t (Dcas.Backoff.once_lazy b)
+        end
+        else if M.dcas t.r t.s.(new_r) old_r old_s new_r Null then `Value v
+        else pop_right_from t (Dcas.Backoff.once_lazy b)
+
+  let pop_right t = pop_right_from t None
 
   (* Figure 3: right-hand-side push. *)
-  let push_right t v =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_r = M.get t.r in
-      let new_r = (old_r + 1) %% t.length in
-      let old_s = M.get t.s.(old_r) in
-      match old_s with
-      | Item _ ->
-          (* Lines 6-11: possibly full; confirm atomically. *)
-          if (not t.hints) || M.get t.r = old_r then
-            if M.dcas t.r t.s.(old_r) old_r old_s old_r old_s then `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Null ->
-          (* Lines 12-19: try to insert. *)
-          if t.hints then begin
-            let ok, got_r, _got_s =
-              M.dcas_strong t.r t.s.(old_r) old_r old_s new_r (Item v)
-            in
-            if ok then `Okay
-            else if got_r = old_r then
-              (* Lines 17-18: index unchanged, so the cell gained a
-                 value: whatever it is, the deque is full. *)
-              `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.r t.s.(old_r) old_r old_s new_r (Item v) then `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec push_right_from t v b =
+    let old_r = M.get t.r in
+    let new_r = (old_r + 1) %% t.length in
+    let old_s = M.get t.s.(old_r) in
+    match old_s with
+    | Item _ ->
+        (* Lines 6-11: possibly full; confirm atomically. *)
+        if (not t.hints) || M.get t.r = old_r then
+          if M.dcas t.r t.s.(old_r) old_r old_s old_r old_s then `Full
+          else push_right_from t v (Dcas.Backoff.once_lazy b)
+        else push_right_from t v (Dcas.Backoff.once_lazy b)
+    | Null ->
+        (* Lines 12-19: try to insert. *)
+        if t.hints then begin
+          let ok, got_r, _got_s =
+            M.dcas_strong t.r t.s.(old_r) old_r old_s new_r (Item v)
+          in
+          if ok then `Okay
+          else if got_r = old_r then
+            (* Lines 17-18: index unchanged, so the cell gained a value:
+               whatever it is, the deque is full. *)
+            `Full
+          else push_right_from t v (Dcas.Backoff.once_lazy b)
+        end
+        else if M.dcas t.r t.s.(old_r) old_r old_s new_r (Item v) then `Okay
+        else push_right_from t v (Dcas.Backoff.once_lazy b)
+
+  let push_right t v = push_right_from t v None
 
   (* Figure 30: left-hand-side pop (mirror image of Figure 2). *)
-  let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_l = M.get t.l in
-      let new_l = (old_l + 1) %% t.length in
-      let old_s = M.get t.s.(new_l) in
-      match old_s with
-      | Null ->
-          if (not t.hints) || M.get t.l = old_l then
-            if M.dcas t.l t.s.(new_l) old_l old_s old_l old_s then `Empty
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Item v ->
-          if t.hints then begin
-            let ok, got_l, got_s =
-              M.dcas_strong t.l t.s.(new_l) old_l old_s new_l Null
-            in
-            if ok then `Value v
-            else if got_l = old_l then
-              match got_s with
-              | Null -> `Empty
-              | Item _ ->
-                  Dcas.Backoff.once b;
-                  loop ()
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.l t.s.(new_l) old_l old_s new_l Null then `Value v
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec pop_left_from t b =
+    let old_l = M.get t.l in
+    let new_l = (old_l + 1) %% t.length in
+    let old_s = M.get t.s.(new_l) in
+    match old_s with
+    | Null ->
+        if (not t.hints) || M.get t.l = old_l then
+          if M.dcas t.l t.s.(new_l) old_l old_s old_l old_s then `Empty
+          else pop_left_from t (Dcas.Backoff.once_lazy b)
+        else pop_left_from t (Dcas.Backoff.once_lazy b)
+    | Item v ->
+        if t.hints then begin
+          let ok, got_l, got_s =
+            M.dcas_strong t.l t.s.(new_l) old_l old_s new_l Null
+          in
+          if ok then `Value v
+          else if got_l = old_l then
+            match got_s with
+            | Null -> `Empty
+            | Item _ -> pop_left_from t (Dcas.Backoff.once_lazy b)
+          else pop_left_from t (Dcas.Backoff.once_lazy b)
+        end
+        else if M.dcas t.l t.s.(new_l) old_l old_s new_l Null then `Value v
+        else pop_left_from t (Dcas.Backoff.once_lazy b)
+
+  let pop_left t = pop_left_from t None
 
   (* Figure 31: left-hand-side push (mirror image of Figure 3). *)
-  let push_left t v =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
-      let old_l = M.get t.l in
-      let new_l = (old_l - 1) %% t.length in
-      let old_s = M.get t.s.(old_l) in
-      match old_s with
-      | Item _ ->
-          if (not t.hints) || M.get t.l = old_l then
-            if M.dcas t.l t.s.(old_l) old_l old_s old_l old_s then `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-      | Null ->
-          if t.hints then begin
-            let ok, got_l, _got_s =
-              M.dcas_strong t.l t.s.(old_l) old_l old_s new_l (Item v)
-            in
-            if ok then `Okay
-            else if got_l = old_l then `Full
-            else begin
-              Dcas.Backoff.once b;
-              loop ()
-            end
-          end
-          else if M.dcas t.l t.s.(old_l) old_l old_s new_l (Item v) then `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let rec push_left_from t v b =
+    let old_l = M.get t.l in
+    let new_l = (old_l - 1) %% t.length in
+    let old_s = M.get t.s.(old_l) in
+    match old_s with
+    | Item _ ->
+        if (not t.hints) || M.get t.l = old_l then
+          if M.dcas t.l t.s.(old_l) old_l old_s old_l old_s then `Full
+          else push_left_from t v (Dcas.Backoff.once_lazy b)
+        else push_left_from t v (Dcas.Backoff.once_lazy b)
+    | Null ->
+        if t.hints then begin
+          let ok, got_l, _got_s =
+            M.dcas_strong t.l t.s.(old_l) old_l old_s new_l (Item v)
+          in
+          if ok then `Okay
+          else if got_l = old_l then `Full
+          else push_left_from t v (Dcas.Backoff.once_lazy b)
+        end
+        else if M.dcas t.l t.s.(old_l) old_l old_s new_l (Item v) then `Okay
+        else push_left_from t v (Dcas.Backoff.once_lazy b)
+
+  let push_left t v = push_left_from t v None
 
   (* --- Quiescent inspection (tests and invariant checks only) --- *)
 
@@ -321,8 +267,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
         let k = Array.length vals in
         let n = t.length in
         let limit = min k n in
-        let b = Dcas.Backoff.create () in
-        let rec loop () =
+        let rec loop b =
           let old_r = M.get t.r in
           let rec probe j =
             if j >= limit then (j, None)
@@ -336,10 +281,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
               (* possibly full: confirm the (index, item cell) pair
                  atomically, exactly as the single push does *)
               if M.dcas t.r t.s.(old_r) old_r c0 old_r c0 then 0
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
           | 0, None -> assert false (* limit >= 1 *)
           | j, blocker ->
               let entries = ref [ M.Cass (t.r, old_r, (old_r + j) %% n) ] in
@@ -355,12 +297,9 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
                   entries := M.Cass (t.s.((old_r + j) %% n), c, c) :: !entries
               | None -> ());
               if M.casn !entries then j
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
         in
-        loop ()
+        loop None
 
   let push_many_left t vs =
     match vs with
@@ -370,8 +309,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
         let k = Array.length vals in
         let n = t.length in
         let limit = min k n in
-        let b = Dcas.Backoff.create () in
-        let rec loop () =
+        let rec loop b =
           let old_l = M.get t.l in
           let rec probe j =
             if j >= limit then (j, None)
@@ -383,10 +321,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
           match probe 0 with
           | 0, Some c0 ->
               if M.dcas t.l t.s.(old_l) old_l c0 old_l c0 then 0
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
           | 0, None -> assert false
           | j, blocker ->
               let entries = ref [ M.Cass (t.l, old_l, (old_l - j) %% n) ] in
@@ -400,20 +335,16 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
                   entries := M.Cass (t.s.((old_l - j) %% n), c, c) :: !entries
               | None -> ());
               if M.casn !entries then j
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
         in
-        loop ()
+        loop None
 
   let pop_many_left t want =
     if want <= 0 then []
     else begin
       let n = t.length in
       let limit = min want n in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_l = M.get t.l in
         let rec probe j acc =
           if j >= limit then (j, List.rev acc, false)
@@ -426,10 +357,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
         if j = 0 then begin
           (* possibly empty: confirm the (index, null cell) pair *)
           if M.dcas t.l t.s.((old_l + 1) %% n) old_l Null old_l Null then []
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
         else begin
           let entries =
@@ -446,13 +374,10 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
             else entries
           in
           if M.casn entries then List.map fst got
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
       in
-      loop ()
+      loop None
     end
 
   let pop_many_right t want =
@@ -460,8 +385,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
     else begin
       let n = t.length in
       let limit = min want n in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_r = M.get t.r in
         let rec probe j acc =
           if j >= limit then (j, List.rev acc, false)
@@ -473,10 +397,7 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
         let j, got, blocked = probe 0 [] in
         if j = 0 then begin
           if M.dcas t.r t.s.((old_r - 1) %% n) old_r Null old_r Null then []
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
         else begin
           let entries =
@@ -491,13 +412,10 @@ module Make_batched (M : Dcas.Memory_intf.MEMORY_CASN) = struct
             else entries
           in
           if M.casn entries then List.map fst got
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
       in
-      loop ()
+      loop None
     end
 end
 

@@ -271,11 +271,10 @@ module Make (D : Deque_intf.S) = struct
     let t0 = Unix.gettimeofday () in
     if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
     else
-      let backoff = Dcas.Backoff.create () in
       let budgeted =
         match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
       in
-      let rec go attempt =
+      let rec go attempt backoff =
         match push_primary t ~side v with
         | `Okay ->
             try_refill t ~side;
@@ -296,19 +295,18 @@ module Make (D : Deque_intf.S) = struct
                     finish t ~t0 t.c_timeout `Timeout
                   else begin
                     Atomic.incr t.c_retries;
-                    Dcas.Backoff.once backoff;
+                    let backoff = Dcas.Backoff.once_lazy backoff in
                     if expired ~t0 deadline then
                       finish t ~t0 t.c_timeout `Timeout
-                    else go (attempt + 1)
+                    else go (attempt + 1) backoff
                   end
                 else if attempt < budgeted then begin
                   Atomic.incr t.c_retries;
-                  Dcas.Backoff.once backoff;
-                  go (attempt + 1)
+                  go (attempt + 1) (Dcas.Backoff.once_lazy backoff)
                 end
                 else finish t ~t0 t.c_full `Full)
       in
-      go 1
+      go 1 None
 
   (* --- pop --- *)
 
@@ -329,8 +327,7 @@ module Make (D : Deque_intf.S) = struct
     let t0 = Unix.gettimeofday () in
     if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
     else
-      let backoff = Dcas.Backoff.create () in
-      let rec go () =
+      let rec go backoff =
         match pop_primary t ~side with
         | `Value v ->
             (* the pop freed one slot: prime it with a parked value *)
@@ -347,13 +344,13 @@ module Make (D : Deque_intf.S) = struct
                   finish t ~t0 t.c_timeout `Timeout
                 else begin
                   Atomic.incr t.c_retries;
-                  Dcas.Backoff.once backoff;
+                  let backoff = Dcas.Backoff.once_lazy backoff in
                   if expired ~t0 deadline then
                     finish t ~t0 t.c_timeout `Timeout
-                  else go ()
+                  else go backoff
                 end)
       in
-      go ()
+      go None
 
   (* The four named operations of the deque vocabulary. *)
   let push_right ?deadline t v = push ?deadline t ~side:`Right v

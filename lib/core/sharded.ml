@@ -243,8 +243,7 @@ module Make (D : Deque_intf.S) = struct
 
   let place t ~start ~side v =
     let k = Array.length t.shards in
-    let backoff = Dcas.Backoff.create () in
-    let rec go i =
+    let rec go i backoff =
       if i >= place_sweeps * k then limbo_put t v
       else
         let s = (start + i) mod k in
@@ -254,12 +253,12 @@ module Make (D : Deque_intf.S) = struct
              | `Okay -> true
              | `Full | `Timeout -> false
         in
-        if not ok then begin
-          if (i + 1) mod k = 0 then Dcas.Backoff.once backoff;
+        if not ok then
           go (i + 1)
-        end
+            (if (i + 1) mod k = 0 then Dcas.Backoff.once_lazy backoff
+             else backoff)
     in
-    go 0
+    go 0 None
 
   (* Transfer up to [budget] items from [victim] to [home], one in
      hand at a time (a crash mid-transfer strands at most one item,
@@ -343,19 +342,15 @@ module Make (D : Deque_intf.S) = struct
            flowing even when every pop carries a deadline, or a
            stranded pending unit could never be reconciled. *)
         let t0 = Unix.gettimeofday () in
-        let backoff = Dcas.Backoff.create () in
-        let rec go () =
+        let rec go backoff =
           match attempt () with
           | `Value v -> `Value v
           | `Timeout -> `Timeout
           | `Empty ->
               if Unix.gettimeofday () -. t0 >= budget then `Empty
-              else begin
-                Dcas.Backoff.once backoff;
-                go ()
-              end
+              else go (Dcas.Backoff.once_lazy backoff)
         in
-        go ()
+        go None
 
   (* --- quarantine / adoption --- *)
 

@@ -1,8 +1,9 @@
 (* Randomized truncated exponential backoff.  Retry loops in the
    lock-free structures back off after a failed DCAS so that, under
    contention, competing operations desynchronize instead of failing
-   each other's DCAS repeatedly.  The state is a single record kept in
-   the caller's stack frame; no allocation on the hot path. *)
+   each other's DCAS repeatedly.  The state is a single record per
+   operation, created by [once_lazy] only after a first failure, so an
+   uncontended operation allocates none. *)
 
 type t = { min_wait : int; max_wait : int; mutable wait : int; mutable seed : int }
 
@@ -66,5 +67,14 @@ let once t =
     Domain.cpu_relax ()
   done;
   if t.wait < t.max_wait then t.wait <- min t.max_wait (t.wait * 2)
+
+let once_lazy = function
+  | Some t as b ->
+      once t;
+      b
+  | None ->
+      let t = create () in
+      once t;
+      Some t
 
 let reset t = t.wait <- t.min_wait

@@ -159,8 +159,8 @@ let owner_of = function
    layer its chance to kill the domain right here, mid-CASN.  Helpers
    installing someone else's descriptor never trigger the hook.  The
    owner is read back out of [desc] (rather than passed in) so the
-   acquire closures in [help_*] capture nothing beyond what the
-   fault-free protocol already needs. *)
+   acquire functions take nothing beyond what the fault-free protocol
+   already needs. *)
 let published desc =
   if Atomic.get hook_armed then begin
     let owner = owner_of desc in
@@ -234,6 +234,10 @@ let release_one (type a) (loc : a loc) (cur : a state) =
       in
       ignore (Atomic.compare_and_set loc.state cur replacement)
 
+(* The helping functions are top-level and take their state as
+   arguments, so no closure is built per call: helping allocates only
+   the [Owned] blocks it installs and the [Value] blocks its release
+   may need. *)
 let rec help desc =
   match desc with
   | Casn { status; owner; entries } -> help_casn desc status owner entries
@@ -243,48 +247,48 @@ let rec help desc =
         after_b
 
 and help_casn desc status owner entries =
-  let n = Array.length entries in
-  (* [acquire] returns true iff this call's CAS decided the status, so
-     the orphan accounting runs outside the loop and the closure
-     environment stays what the fault-free protocol needs. *)
-  let rec acquire i =
-    if i >= n then Atomic.compare_and_set status Undecided Succeeded
-    else if Atomic.get status <> Undecided then false
-    else
-      let (Entry { loc; before; after }) = entries.(i) in
-      let cur = Atomic.get loc.state in
-      match cur with
-      | Owned { desc = d; _ } when d == desc -> acquire (i + 1)
-      | Owned { desc = d; _ } ->
-          if Atomic.get (status_of d) = Undecided then help d
-          else release_one loc cur;
-          acquire i
-      | Value v ->
-          if loc.equal v before then
-            if
-              Atomic.compare_and_set loc.state cur
-                (Owned { desc; before; after; orig = cur })
-            then begin
-              published desc;
-              acquire (i + 1)
-            end
-            else acquire i
-          else Atomic.compare_and_set status Undecided Failed
-  in
-  if acquire 0 then decided owner;
+  if acquire desc status entries 0 then decided owner;
   (* Eagerly release whatever we still own so later operations on these
      locations take the fast [Value] path. *)
-  Array.iter
-    (fun (Entry { loc; _ }) ->
-      match Atomic.get loc.state with
-      | Owned { desc = d; _ } as cur when d == desc -> release_one loc cur
-      | Value _ | Owned _ -> ())
-    entries
+  for i = 0 to Array.length entries - 1 do
+    let (Entry { loc; _ }) = entries.(i) in
+    match Atomic.get loc.state with
+    | Owned { desc = d; _ } as cur when d == desc -> release_one loc cur
+    | Value _ | Owned _ -> ()
+  done
 
-(* The flat two-location protocol: textually the [help_casn] acquire
-   loop unrolled for entries 0 and 1 (locations pre-sorted by id), with
-   the entry array and [Entry] blocks gone.  The decide and release
-   steps are identical, so every interleaving maps one-to-one onto a
+(* Acquire [entries] from index [i] on.  Returns true iff this call's
+   CAS decided the status, so the orphan accounting runs once, in the
+   caller. *)
+and acquire desc status entries i =
+  if i >= Array.length entries then
+    Atomic.compare_and_set status Undecided Succeeded
+  else if Atomic.get status <> Undecided then false
+  else
+    let (Entry { loc; before; after }) = entries.(i) in
+    let cur = Atomic.get loc.state in
+    match cur with
+    | Owned { desc = d; _ } when d == desc -> acquire desc status entries (i + 1)
+    | Owned { desc = d; _ } ->
+        if Atomic.get (status_of d) = Undecided then help d
+        else release_one loc cur;
+        acquire desc status entries i
+    | Value v ->
+        if loc.equal v before then
+          if
+            Atomic.compare_and_set loc.state cur
+              (Owned { desc; before; after; orig = cur })
+          then begin
+            published desc;
+            acquire desc status entries (i + 1)
+          end
+          else acquire desc status entries i
+        else Atomic.compare_and_set status Undecided Failed
+
+(* The flat two-location protocol: textually the [acquire] loop
+   unrolled for entries 0 and 1 (locations pre-sorted by id), with the
+   entry array and [Entry] blocks gone.  The decide and release steps
+   are identical, so every interleaving maps one-to-one onto a
    generic-CASN interleaving. *)
 and help_dcas2 :
     type a b.
@@ -299,61 +303,67 @@ and help_dcas2 :
     b ->
     unit =
  fun desc status owner loc_a before_a after_a loc_b before_b after_b ->
-  (* As in [help_casn], the acquire loops return true iff this call's
-     CAS decided the status; [decided] runs after, outside the
-     closures, so the fault-free hot path allocates exactly what it
-     did before the crash layer existed. *)
-  let rec acquire_a () =
-    if Atomic.get status = Undecided then
-      let cur = Atomic.get loc_a.state in
-      match cur with
-      | Owned { desc = d; _ } when d == desc -> acquire_b ()
-      | Owned { desc = d; _ } ->
-          if Atomic.get (status_of d) = Undecided then help d
-          else release_one loc_a cur;
-          acquire_a ()
-      | Value v ->
-          if loc_a.equal v before_a then
-            if
-              Atomic.compare_and_set loc_a.state cur
-                (Owned { desc; before = before_a; after = after_a; orig = cur })
-            then begin
-              published desc;
-              acquire_b ()
-            end
-            else acquire_a ()
-          else Atomic.compare_and_set status Undecided Failed
-    else false
-  and acquire_b () =
-    if Atomic.get status = Undecided then
-      let cur = Atomic.get loc_b.state in
-      match cur with
-      | Owned { desc = d; _ } when d == desc ->
-          Atomic.compare_and_set status Undecided Succeeded
-      | Owned { desc = d; _ } ->
-          if Atomic.get (status_of d) = Undecided then help d
-          else release_one loc_b cur;
-          acquire_b ()
-      | Value v ->
-          if loc_b.equal v before_b then
-            if
-              Atomic.compare_and_set loc_b.state cur
-                (Owned { desc; before = before_b; after = after_b; orig = cur })
-            then begin
-              published desc;
-              Atomic.compare_and_set status Undecided Succeeded
-            end
-            else acquire_b ()
-          else Atomic.compare_and_set status Undecided Failed
-    else false
-  in
-  if acquire_a () then decided owner;
+  (* As in [help_casn], the acquire steps return true iff this call's
+     CAS decided the status, and [decided] runs after them. *)
+  if acquire_a desc status loc_a before_a after_a loc_b before_b after_b then
+    decided owner;
   (match Atomic.get loc_a.state with
   | Owned { desc = d; _ } as cur when d == desc -> release_one loc_a cur
   | Value _ | Owned _ -> ());
   match Atomic.get loc_b.state with
   | Owned { desc = d; _ } as cur when d == desc -> release_one loc_b cur
   | Value _ | Owned _ -> ()
+
+and acquire_a :
+    type a b. desc -> status Atomic.t -> a loc -> a -> a -> b loc -> b -> b -> bool
+    =
+ fun desc status loc_a before_a after_a loc_b before_b after_b ->
+  if Atomic.get status = Undecided then
+    let cur = Atomic.get loc_a.state in
+    match cur with
+    | Owned { desc = d; _ } when d == desc ->
+        acquire_b desc status loc_b before_b after_b
+    | Owned { desc = d; _ } ->
+        if Atomic.get (status_of d) = Undecided then help d
+        else release_one loc_a cur;
+        acquire_a desc status loc_a before_a after_a loc_b before_b after_b
+    | Value v ->
+        if loc_a.equal v before_a then
+          if
+            Atomic.compare_and_set loc_a.state cur
+              (Owned { desc; before = before_a; after = after_a; orig = cur })
+          then begin
+            published desc;
+            acquire_b desc status loc_b before_b after_b
+          end
+          else
+            acquire_a desc status loc_a before_a after_a loc_b before_b after_b
+        else Atomic.compare_and_set status Undecided Failed
+  else false
+
+and acquire_b : type b. desc -> status Atomic.t -> b loc -> b -> b -> bool =
+ fun desc status loc_b before_b after_b ->
+  if Atomic.get status = Undecided then
+    let cur = Atomic.get loc_b.state in
+    match cur with
+    | Owned { desc = d; _ } when d == desc ->
+        Atomic.compare_and_set status Undecided Succeeded
+    | Owned { desc = d; _ } ->
+        if Atomic.get (status_of d) = Undecided then help d
+        else release_one loc_b cur;
+        acquire_b desc status loc_b before_b after_b
+    | Value v ->
+        if loc_b.equal v before_b then
+          if
+            Atomic.compare_and_set loc_b.state cur
+              (Owned { desc; before = before_b; after = after_b; orig = cur })
+          then begin
+            published desc;
+            Atomic.compare_and_set status Undecided Succeeded
+          end
+          else acquire_b desc status loc_b before_b after_b
+        else Atomic.compare_and_set status Undecided Failed
+  else false
 
 (* Complete every orphaned descriptor on the crashed owners' behalf:
    the survivors' side of Theorems 3.1/4.1 made into an API.  Helping
@@ -456,8 +466,8 @@ let dcas l1 l2 o1 o2 n1 n2 =
    sent us around the loop means the locations are contended right now,
    and re-colliding immediately mostly fails the other operations'
    DCASes too.  The backoff state is allocated only once the first
-   attempt has failed, keeping the success path allocation-equal to
-   [dcas]. *)
+   attempt has failed, so a first-attempt success allocates what
+   [dcas] does plus the result triple. *)
 let dcas_strong l1 l2 o1 o2 n1 n2 =
   if dcas l1 l2 o1 o2 n1 n2 then (true, o1, o2)
   else begin

@@ -1,34 +1,38 @@
 (* Per-domain operation counters.  Each domain that touches a memory
-   model gets its own array of atomic counters (registered in a global
-   list), so the hot paths never contend on a shared counter; [snapshot]
-   sums across domains.
+   model gets its own plain [int array] bucket (registered in a global
+   list), written only by that domain, so counting on the hot paths is
+   a load and a store with no atomic read-modify-write and no shared
+   cache line; [snapshot] sums across domains.
 
-   Each counter cell is cache-line padded (see Padding): without it,
-   the five counters of one domain's bucket — and worse, the counters
-   of different domains allocated back to back — share cache lines,
-   and "per-domain so the hot path doesn't contend" is defeated by
-   coherence traffic on the line itself.  The bucket's spine array is
-   NOT padded: an array must never go through [copy_as_padded]
-   (Array.length is derived from the block size), and the spine is
-   read-only after creation, so sharing its line is harmless. *)
+   The counters sit in the middle of the bucket, with one cache line of
+   unused words on each side.  OCaml places blocks back to back, so
+   without the padding the counters of buckets allocated one after the
+   other — or any other hot block next to one — would share a line,
+   and "per-domain so the hot path doesn't contend" would be defeated
+   by coherence traffic on the line itself.
 
-type bucket = int Atomic.t array
-(* indices: 0 = reads, 1 = writes, 2 = dcas attempts, 3 = dcas
-   successes, 4 = dcas fast-fails, 5 = injected spurious failures,
-   6 = injected delays, 7 = injected freezes (5-7 used by Mem_chaos),
-   8 = Dcas2 fast-path hits, 9 = descriptor allocations, 10 = Value
-   block allocations (8-10 used by Mem_lockfree), 11 = orphaned
-   descriptors helped to completion by survivors (crash injection).
-   The layout is the field order of Memory_intf.stats: snapshot
-   converts through Memory_intf.of_counts, so the two can never drift
-   apart silently. *)
+   Reading another domain's bucket is a data race, which OCaml keeps
+   memory-safe: a concurrent [snapshot] sees every count as of some
+   recent moment, and an exact one once the writers have joined
+   ([Domain.join] orders their writes before the join returns). *)
 
-let bucket_size = Memory_intf.stats_fields
+(* Counter indices, after the leading pad: 0 = reads, 1 = writes,
+   2 = dcas attempts, 3 = dcas successes, 4 = dcas fast-fails,
+   5 = injected spurious failures, 6 = injected delays, 7 = injected
+   freezes (5-7 used by Mem_chaos), 8 = Dcas2 fast-path hits,
+   9 = descriptor allocations, 10 = Value block allocations (8-10 used
+   by Mem_lockfree), 11 = orphaned descriptors helped to completion by
+   survivors (crash injection).  The layout is the field order of
+   Memory_intf.stats: snapshot converts through Memory_intf.of_counts,
+   so the two can never drift apart silently. *)
+
+let pad = Padding.cache_line_words
+let fields = Memory_intf.stats_fields
 
 type t = {
   mutex : Mutex.t;
-  mutable buckets : bucket list;
-  key : bucket Domain.DLS.key;
+  mutable buckets : int array list;
+  key : int array Domain.DLS.key;
 }
 
 let create () =
@@ -39,7 +43,7 @@ let create () =
         buckets = [];
         key =
           Domain.DLS.new_key (fun () ->
-              let b = Array.init bucket_size (fun _ -> Padding.make_atomic 0) in
+              let b = Array.make (pad + fields + pad) 0 in
               let t = Lazy.force t in
               Mutex.lock t.mutex;
               t.buckets <- b :: t.buckets;
@@ -49,31 +53,32 @@ let create () =
   in
   Lazy.force t
 
-let bucket t = Domain.DLS.get t.key
+let incr t i =
+  let b = Domain.DLS.get t.key in
+  b.(pad + i) <- b.(pad + i) + 1
 
-let incr b i = Atomic.incr b.(i)
-let incr_read t = incr (bucket t) 0
-let incr_write t = incr (bucket t) 1
-let incr_attempt t = incr (bucket t) 2
-let incr_success t = incr (bucket t) 3
-let incr_fastfail t = incr (bucket t) 4
-let incr_spurious t = incr (bucket t) 5
-let incr_delay t = incr (bucket t) 6
-let incr_freeze t = incr (bucket t) 7
-let incr_dcas2 t = incr (bucket t) 8
-let incr_desc_alloc t = incr (bucket t) 9
-let incr_value_alloc t = incr (bucket t) 10
-let incr_orphan t = incr (bucket t) 11
+let incr_read t = incr t 0
+let incr_write t = incr t 1
+let incr_attempt t = incr t 2
+let incr_success t = incr t 3
+let incr_fastfail t = incr t 4
+let incr_spurious t = incr t 5
+let incr_delay t = incr t 6
+let incr_freeze t = incr t 7
+let incr_dcas2 t = incr t 8
+let incr_desc_alloc t = incr t 9
+let incr_value_alloc t = incr t 10
+let incr_orphan t = incr t 11
+
+let buckets t =
+  Mutex.lock t.mutex;
+  let bs = t.buckets in
+  Mutex.unlock t.mutex;
+  bs
 
 let snapshot t : Memory_intf.stats =
-  Mutex.lock t.mutex;
-  let buckets = t.buckets in
-  Mutex.unlock t.mutex;
-  let sum i = List.fold_left (fun acc b -> acc + Atomic.get b.(i)) 0 buckets in
-  Memory_intf.of_counts (Array.init bucket_size sum)
+  let bs = buckets t in
+  let sum i = List.fold_left (fun acc b -> acc + b.(pad + i)) 0 bs in
+  Memory_intf.of_counts (Array.init fields sum)
 
-let reset t =
-  Mutex.lock t.mutex;
-  let buckets = t.buckets in
-  Mutex.unlock t.mutex;
-  List.iter (fun b -> Array.iter (fun c -> Atomic.set c 0) b) buckets
+let reset t = List.iter (fun b -> Array.fill b pad fields 0) (buckets t)

@@ -1,9 +1,9 @@
 (** Per-domain operation counters backing {!Memory_intf.MEMORY.stats}.
 
-    Counters are kept in domain-local atomic buckets so that counting on
-    the memory models' hot paths does not introduce cross-domain cache
-    contention; {!snapshot} sums over every domain that has used the
-    counter. *)
+    Each domain counts into its own plain, cache-line-padded bucket, so
+    counting on the memory models' hot paths does no atomic
+    read-modify-write and causes no cross-domain cache contention;
+    {!snapshot} sums over every domain that has used the counter. *)
 
 type t
 
@@ -44,6 +44,15 @@ val incr_orphan : t -> unit
     decided by a surviving helper ({!Mem_lockfree.mark_dead}). *)
 
 val snapshot : t -> Memory_intf.stats
-(** Sum of all domains' counters since creation or the last {!reset}. *)
+(** Sum of all domains' counters since creation or the last {!reset}.
+    Exact for every domain whose counting happens-before the call —
+    the calling domain itself, and any domain it has joined.  Taken
+    while other domains are still counting, it is a racy but
+    memory-safe estimate: each of their counts is some recent value. *)
 
 val reset : t -> unit
+(** Zero every domain's counters.  Quiescent use only: no domain may be
+    counting concurrently, and a domain that counts afterwards must
+    synchronize with the reset (be spawned after it, or be handed work
+    through an atomic), or its next increment may restore a stale
+    count. *)

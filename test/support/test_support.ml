@@ -130,6 +130,21 @@ let qcheck_sequential ?(count = 200) ?(capacity = 8) impl =
       | Ok () -> true
       | Error e -> QCheck2.Test.fail_report e)
 
+(* --- Allocation --- *)
+
+(* Average minor words per call of [f] on this domain, after one
+   warm-up call (the first call on a domain creates its substrate stats
+   bucket).  Averaging over many calls makes the float that
+   [Gc.minor_words] boxes negligible. *)
+let words_per_call f =
+  f ();
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float n
+
 (* --- Test tiers --- *)
 
 (* [dune runtest] runs the fast tier only; setting DCAS_SLOW_TESTS=1

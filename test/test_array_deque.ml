@@ -342,6 +342,28 @@ let qcheck_capacity_one =
     (Test_support.qcheck_sequential ~capacity:1 ~count:100
        (impl_of (module Deque.Array_deque.Sequential)))
 
+(* The uncontended fast path allocates only what the protocol needs:
+   per DCAS the Dcas2 descriptor, its status, two Owned blocks and the
+   released Value blocks, plus the [Item] cell, the strong form's result
+   triple and the popped [`Value] — no backoff state and no retry-loop
+   closure.  The ceiling is the measured 63 words per pair plus 2. *)
+let test_pair_alloc_ceiling () =
+  let module D = Deque.Array_deque.Lockfree in
+  let d = D.make ~length:16 () in
+  let item = "x" in
+  let w =
+    Test_support.words_per_call (fun () ->
+        (match D.push_right d item with
+        | `Okay -> ()
+        | `Full -> Alcotest.fail "push on an empty deque reported full");
+        match D.pop_right d with
+        | `Value _ -> ()
+        | `Empty -> Alcotest.fail "pop after a push reported empty")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per push_right + pop_right <= 65" w)
+    true (w <= 65.)
+
 let () =
   Alcotest.run "array_deque"
     [
@@ -368,4 +390,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_batched_matches_fold;
         ] );
       ("oracle equivalence", qcheck_capacity_one :: qcheck_tests);
+      ( "allocation ceiling",
+        [
+          Alcotest.test_case "lock-free push_right + pop_right pair" `Quick
+            test_pair_alloc_ceiling;
+        ] );
     ]

@@ -669,6 +669,87 @@ let opstats_tests =
           s.dcas_fastfails);
   ]
 
+(* --- exact counters across domains --- *)
+
+(* Each domain counts into its own plain bucket; [Domain.join] orders
+   those writes before the snapshot, so once the writers have joined
+   the deltas must be exact, field by field, and a quiescent reset
+   must zero every field. *)
+let counter_exactness_test (module M : MEM) ~descriptors =
+  Alcotest.test_case
+    (M.name ^ ": counts exact after join, reset zeroes")
+    `Quick (fun () ->
+      let n = 5_000 and domains = 2 in
+      let before = Dcas.Memory_intf.to_counts (M.stats ()) in
+      let ds =
+        List.init domains (fun _ ->
+            Domain.spawn (fun () ->
+                (* private locations: every dcas is uncontended and
+                   succeeds *)
+                let a = M.make 0 and b = M.make 0 in
+                for _ = 1 to n do
+                  let va = M.get a and vb = M.get b in
+                  if not (M.dcas a b va vb (va + 1) (vb + 1)) then
+                    failwith "uncontended dcas failed"
+                done))
+      in
+      List.iter Domain.join ds;
+      let after = Dcas.Memory_intf.to_counts (M.stats ()) in
+      let delta =
+        Dcas.Memory_intf.of_counts (Array.map2 ( - ) after before)
+      in
+      let ops = domains * n in
+      (* on Mem_lockfree every success takes the Dcas2 slow path and
+         its release allocates a fresh Value block per location *)
+      let expected : Dcas.Memory_intf.stats =
+        {
+          Dcas.Memory_intf.empty_stats with
+          reads = 2 * ops;
+          dcas_attempts = ops;
+          dcas_successes = ops;
+          dcas2_hits = (if descriptors then ops else 0);
+          descriptor_allocs = (if descriptors then ops else 0);
+          value_allocs = (if descriptors then 2 * ops else 0);
+        }
+      in
+      let fields s = Dcas.Memory_intf.stats_to_assoc s in
+      Alcotest.(check (list (pair string int)))
+        "deltas exact" (fields expected) (fields delta);
+      M.reset_stats ();
+      Alcotest.(check (list (pair string int)))
+        "reset zeroes every field"
+        (fields Dcas.Memory_intf.empty_stats)
+        (fields (M.stats ())))
+
+let counter_exactness_tests =
+  [
+    counter_exactness_test (module Dcas.Mem_lockfree) ~descriptors:true;
+    counter_exactness_test (module Dcas.Mem_seq) ~descriptors:false;
+  ]
+
+(* --- allocation ceiling of the uncontended fast path --- *)
+
+let alloc_ceiling_tests =
+  let module M = Dcas.Mem_lockfree in
+  [
+    Alcotest.test_case "successful int dcas: at most 25 words" `Quick
+      (fun () ->
+        (* the Dcas2 descriptor (9) and its status atomic (2), one
+           Owned block per location (5 + 5) and one fresh Value block
+           per location on release (2 + 2); helping itself allocates
+           nothing *)
+        let a = M.make 0 and b = M.make 0 in
+        let w =
+          Test_support.words_per_call (fun () ->
+              let va = M.get a and vb = M.get b in
+              if not (M.dcas a b va vb (va + 1) (vb + 1)) then
+                Alcotest.fail "uncontended dcas failed")
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.2f words <= 25" w)
+          true (w <= 25.));
+  ]
+
 (* --- substrate odds and ends --- *)
 
 let misc_tests =
@@ -736,5 +817,7 @@ let () =
       ("dcas2", dcas2_tests);
       ("stats-completeness", stats_completeness_tests);
       ("opstats", opstats_tests);
+      ("counter-exactness", counter_exactness_tests);
+      ("alloc-ceiling", alloc_ceiling_tests);
       ("substrate", misc_tests);
     ]
