@@ -251,19 +251,15 @@ struct
      revalidation walk. *)
   let push_left t v =
     let node = fresh_node v in
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let link = C.get t.head.next in
       C.set_private node.prev { ptr = Node t.head; mark = false };
       C.set_private node.next link;
       if C.cas t.head.next link { ptr = Node node; mark = false } then
         push_common node (node_of link.ptr)
-      else begin
-        Dcas.Backoff.once b;
-        loop ()
-      end
+      else loop (Dcas.Backoff.once_lazy b)
     in
-    loop ();
+    loop None;
     `Okay
 
   (* PushRight: insert before the tail sentinel.  The predecessor comes
@@ -271,23 +267,19 @@ struct
      must still be the unmarked link to tail at the insertion CAS. *)
   let push_right t v =
     let node = fresh_node v in
-    let b = Dcas.Backoff.create () in
-    let rec loop prev =
+    let rec loop b prev =
       let link = C.get prev.next in
       if link.mark || node_of link.ptr != t.tail then
-        loop (correct_prev ~last:None prev t.tail)
+        loop b (correct_prev ~last:None prev t.tail)
       else begin
         C.set_private node.prev { ptr = Node prev; mark = false };
         C.set_private node.next { ptr = Node t.tail; mark = false };
         if C.cas prev.next link { ptr = Node node; mark = false } then
           push_common node t.tail
-        else begin
-          Dcas.Backoff.once b;
-          loop prev
-        end
+        else loop (Dcas.Backoff.once_lazy b) prev
       end
     in
-    loop (node_of (C.get t.tail.prev).ptr);
+    loop None (node_of (C.get t.tail.prev).ptr);
     `Okay
 
   (* PopLeft linearizes at the read of [head.next] (empty) or at the
@@ -296,8 +288,7 @@ struct
      untouched — any interposed [push_left] commutes to after this pop
      within the operations' overlap. *)
   let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let link = C.get t.head.next in
       let node = node_of link.ptr in
       if node == t.tail then `Empty
@@ -306,7 +297,7 @@ struct
         if node_link.mark then begin
           (* already logically deleted: help finish, then retry *)
           help_delete node;
-          loop ()
+          loop b
         end
         else if C.cas node.next node_link { ptr = node_link.ptr; mark = true }
         then begin
@@ -315,23 +306,19 @@ struct
           ignore (correct_prev ~last:None t.head (node_of node_link.ptr));
           match node.value with Some v -> `Value v | None -> assert false
         end
-        else begin
-          Dcas.Backoff.once b;
-          loop ()
-        end
+        else loop (Dcas.Backoff.once_lazy b)
     in
-    loop ()
+    loop None
 
   (* PopRight linearizes at the marking CAS: it succeeds only while the
      node's [next] is the unmarked link to tail, i.e. while the node is
      live and rightmost (a push_right behind it would have rewritten
      that link).  Empty linearizes at reading [head.next = tail]. *)
   let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop node =
+    let rec loop b node =
       let node_link = C.get node.next in
       if node_link.mark || node_of node_link.ptr != t.tail then
-        loop (correct_prev ~last:None node t.tail)
+        loop b (correct_prev ~last:None node t.tail)
       else if node == t.head then `Empty
       else if C.cas node.next node_link { ptr = node_link.ptr; mark = true }
       then begin
@@ -340,12 +327,9 @@ struct
         ignore (correct_prev ~last:None prev t.tail);
         match node.value with Some v -> `Value v | None -> assert false
       end
-      else begin
-        Dcas.Backoff.once b;
-        loop node
-      end
+      else loop (Dcas.Backoff.once_lazy b) node
     in
-    loop (node_of (C.get t.tail.prev).ptr)
+    loop None (node_of (C.get t.tail.prev).ptr)
 
   (* --- Quiescent inspection (tests and invariant checks only) --- *)
 

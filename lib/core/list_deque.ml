@@ -133,10 +133,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
      the failure proves another operation just won on the same words,
      so immediate retry only prolongs the convoy (Section 6 measures
      exactly this effect).  Retries after a plain re-read do not back
-     off — the state may simply have been stale. *)
+     off — the state may simply have been stale.  The backoff state is
+     threaded through the loop and created by [Dcas.Backoff.once_lazy]
+     at the first failure, so an uncontended call allocates none. *)
   let delete_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_l = M.get t.sr.left in
       (* line 4: someone already finished the deletion *)
       if not old_l.deleted then ()
@@ -161,12 +162,9 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                 retire t target;
                 retire t (node_of old_r.ptr)
               end
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
         | SentL | SentR | Item _ ->
             (* lines 6-14: splice out the single null node by making
                SR and its left-left neighbor point at each other. *)
@@ -176,20 +174,16 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
               let new_llr = { ptr = Node t.sr; deleted = false } in
               if M.dcas t.sr.left ll.right old_l old_llr new_sr_l new_llr then
                 retire t target
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
       end
     in
-    loop ()
+    loop None
 
   (* Figure 34 (typos fixed): left-side physical deletion. *)
   let delete_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_r = M.get t.sl.right in
       if not old_r.deleted then ()
       else begin
@@ -207,12 +201,9 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                 retire t target;
                 retire t (node_of old_l.ptr)
               end
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
         | SentL | SentR | Item _ ->
             let old_rrl = M.get rr.left in
             if node_ref_equal old_rrl.ptr (Node target) then begin
@@ -220,20 +211,16 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
               let new_rrl = { ptr = Node t.sl; deleted = false } in
               if M.dcas t.sl.right rr.left old_r old_rrl new_sl_r new_rrl then
                 retire t target
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
       end
     in
-    loop ()
+    loop None
 
   (* Figure 11: right-side pop. *)
   let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_l = M.get t.sr.left in
       let target = node_of old_l.ptr in
       let v = M.get target.value in
@@ -244,7 +231,7 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
           if old_l.deleted then begin
             (* lines 6-7: finish the pending deletion, then retry *)
             delete_right t;
-            loop ()
+            loop b
           end
           else begin
             match v with
@@ -253,29 +240,22 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                    popLeft; confirm (pointer, null) atomically and
                    report empty. *)
                 if M.dcas t.sr.left target.value old_l v old_l v then `Empty
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | Item x ->
                 (* lines 13-19: claim the value and mark the node
                    deleted in the same DCAS. *)
                 let new_l = { ptr = old_l.ptr; deleted = true } in
                 if M.dcas t.sr.left target.value old_l v new_l Null then
                   `Value x
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | SentL | SentR -> assert false
           end
     in
-    loop ()
+    loop None
 
   (* Figure 32 (typo fixed): left-side pop. *)
   let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_r = M.get t.sl.right in
       let target = node_of old_r.ptr in
       let v = M.get target.value in
@@ -285,28 +265,22 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       | Null | Item _ ->
           if old_r.deleted then begin
             delete_left t;
-            loop ()
+            loop b
           end
           else begin
             match v with
             | Null ->
                 if M.dcas t.sl.right target.value old_r v old_r v then `Empty
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | Item x ->
                 let new_r = { ptr = old_r.ptr; deleted = true } in
                 if M.dcas t.sl.right target.value old_r v new_r Null then
                   `Value x
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | SentL | SentR -> assert false
           end
     in
-    loop ()
+    loop None
 
   (* Figure 13: right-side push. *)
   let push_right t v =
@@ -314,13 +288,12 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     else begin
       let nn, fresh = obtain_node t in
       let init = if fresh then M.set_private else M.set in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_l = M.get t.sr.left in
         if old_l.deleted then begin
           (* lines 7-8 *)
           delete_right t;
-          loop ()
+          loop b
         end
         else begin
           (* lines 10-15: initialize the private node, then splice it
@@ -333,13 +306,10 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
           let new_ptr = { ptr = Node nn; deleted = false } in
           if M.dcas t.sr.left target.right old_l old_lr new_ptr new_ptr then
             `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
       in
-      loop ()
+      loop None
     end
 
   (* Figure 33 (typo fixed): left-side push. *)
@@ -348,12 +318,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     else begin
       let nn, fresh = obtain_node t in
       let init = if fresh then M.set_private else M.set in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_r = M.get t.sl.right in
         if old_r.deleted then begin
           delete_left t;
-          loop ()
+          loop b
         end
         else begin
           let target = node_of old_r.ptr in
@@ -364,13 +333,10 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
           let new_ptr = { ptr = Node nn; deleted = false } in
           if M.dcas t.sl.right target.left old_r old_rl new_ptr new_ptr then
             `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
       in
-      loop ()
+      loop None
     end
 
   (* --- Quiescent inspection (tests and invariant checks only) --- *)

@@ -91,8 +91,7 @@ module Make (M : Dcas.Memory_intf.MEMORY_CASN) = struct
   let delete_left (_ : 'a t) = ()
 
   let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_l = M.get t.sr.left in
       let target = node_of old_l in
       match target.value with
@@ -112,16 +111,12 @@ module Make (M : Dcas.Memory_intf.MEMORY_CASN) = struct
             Alloc.free t.alloc;
             `Value v
           end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
     in
-    loop ()
+    loop None
 
   let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_r = M.get t.sl.right in
       let target = node_of old_r in
       match target.value with
@@ -140,19 +135,15 @@ module Make (M : Dcas.Memory_intf.MEMORY_CASN) = struct
             Alloc.free t.alloc;
             `Value v
           end
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
     in
-    loop ()
+    loop None
 
   let push_right t v =
     if not (Alloc.try_alloc t.alloc) then `Full
     else begin
       let nn = new_node (Item v) in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_l = M.get t.sr.left in
         let target = node_of old_l in
         M.set_private nn.right (Node t.sr);
@@ -164,20 +155,16 @@ module Make (M : Dcas.Memory_intf.MEMORY_CASN) = struct
               M.Cass (target.right, Node t.sr, Node nn);
             ]
         then `Okay
-        else begin
-          Dcas.Backoff.once b;
-          loop ()
-        end
+        else loop (Dcas.Backoff.once_lazy b)
       in
-      loop ()
+      loop None
     end
 
   let push_left t v =
     if not (Alloc.try_alloc t.alloc) then `Full
     else begin
       let nn = new_node (Item v) in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_r = M.get t.sl.right in
         let target = node_of old_r in
         M.set_private nn.left (Node t.sl);
@@ -189,12 +176,9 @@ module Make (M : Dcas.Memory_intf.MEMORY_CASN) = struct
               M.Cass (target.left, Node t.sl, Node nn);
             ]
         then `Okay
-        else begin
-          Dcas.Backoff.once b;
-          loop ()
-        end
+        else loop (Dcas.Backoff.once_lazy b)
       in
-      loop ()
+      loop None
     end
 
   (* --- Quiescent inspection --- *)

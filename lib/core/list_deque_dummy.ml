@@ -112,8 +112,7 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
   (* Figure 17 under the dummy encoding.  As in [List_deque], retries
      that follow a failed DCAS back off before looping. *)
   let delete_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_l = read_link t.sr.left in
       if not old_l.deleted then ()
       else begin
@@ -131,12 +130,9 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                 Alloc.free t.alloc;
                 Alloc.free t.alloc
               end
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
         | SentL | SentR | Item _ ->
             let old_llr = M.get old_ll.right in
             if node_ref_equal old_llr (Node target) then begin
@@ -144,20 +140,16 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                 M.dcas t.sr.left old_ll.right old_l.raw old_llr (direct old_ll)
                   (direct t.sr)
               then Alloc.free t.alloc
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
       end
     in
-    loop ()
+    loop None
 
   (* Figure 34 under the dummy encoding. *)
   let delete_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_r = read_link t.sl.right in
       if not old_r.deleted then ()
       else begin
@@ -174,12 +166,9 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                 Alloc.free t.alloc;
                 Alloc.free t.alloc
               end
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
         | SentL | SentR | Item _ ->
             let old_rrl = M.get old_rr.left in
             if node_ref_equal old_rrl (Node target) then begin
@@ -187,20 +176,16 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
                 M.dcas t.sl.right old_rr.left old_r.raw old_rrl (direct old_rr)
                   (direct t.sl)
               then Alloc.free t.alloc
-              else begin
-                Dcas.Backoff.once b;
-                loop ()
-              end
+              else loop (Dcas.Backoff.once_lazy b)
             end
-            else loop ()
+            else loop b
       end
     in
-    loop ()
+    loop None
 
   (* Figure 11 under the dummy encoding. *)
   let pop_right t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_l = read_link t.sr.left in
       let target = old_l.ptr in
       let v = M.get target.value in
@@ -210,34 +195,27 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       | Null | Item _ ->
           if old_l.deleted then begin
             delete_right t;
-            loop ()
+            loop b
           end
           else begin
             match v with
             | Null ->
                 if M.dcas t.sr.left target.value old_l.raw v old_l.raw v then
                   `Empty
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | Item x ->
                 let new_raw = marked target in
                 if M.dcas t.sr.left target.value old_l.raw v new_raw Null then
                   `Value x
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | SentL | SentR -> assert false
           end
     in
-    loop ()
+    loop None
 
   (* Figure 32 under the dummy encoding. *)
   let pop_left t =
-    let b = Dcas.Backoff.create () in
-    let rec loop () =
+    let rec loop b =
       let old_r = read_link t.sl.right in
       let target = old_r.ptr in
       let v = M.get target.value in
@@ -247,41 +225,34 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       | Null | Item _ ->
           if old_r.deleted then begin
             delete_left t;
-            loop ()
+            loop b
           end
           else begin
             match v with
             | Null ->
                 if M.dcas t.sl.right target.value old_r.raw v old_r.raw v then
                   `Empty
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | Item x ->
                 let new_raw = marked target in
                 if M.dcas t.sl.right target.value old_r.raw v new_raw Null then
                   `Value x
-                else begin
-                  Dcas.Backoff.once b;
-                  loop ()
-                end
+                else loop (Dcas.Backoff.once_lazy b)
             | SentL | SentR -> assert false
           end
     in
-    loop ()
+    loop None
 
   (* Figure 13 under the dummy encoding. *)
   let push_right t v =
     if not (Alloc.try_alloc t.alloc) then `Full
     else begin
       let nn = new_raw_node () in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_l = read_link t.sr.left in
         if old_l.deleted then begin
           delete_right t;
-          loop ()
+          loop b
         end
         else begin
           let target = old_l.ptr in
@@ -289,18 +260,15 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
           M.set_private nn.left old_l.raw;
           M.set_private nn.value (Item v);
           let old_lr = M.get target.right in
-          if not (node_ref_equal old_lr (Node t.sr)) then loop ()
+          if not (node_ref_equal old_lr (Node t.sr)) then loop b
           else if
             M.dcas t.sr.left target.right old_l.raw old_lr (direct nn)
               (direct nn)
           then `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
       in
-      loop ()
+      loop None
     end
 
   (* Figure 33 under the dummy encoding. *)
@@ -308,12 +276,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     if not (Alloc.try_alloc t.alloc) then `Full
     else begin
       let nn = new_raw_node () in
-      let b = Dcas.Backoff.create () in
-      let rec loop () =
+      let rec loop b =
         let old_r = read_link t.sl.right in
         if old_r.deleted then begin
           delete_left t;
-          loop ()
+          loop b
         end
         else begin
           let target = old_r.ptr in
@@ -321,18 +288,15 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
           M.set_private nn.right old_r.raw;
           M.set_private nn.value (Item v);
           let old_rl = M.get target.left in
-          if not (node_ref_equal old_rl (Node t.sl)) then loop ()
+          if not (node_ref_equal old_rl (Node t.sl)) then loop b
           else if
             M.dcas t.sl.right target.left old_r.raw old_rl (direct nn)
               (direct nn)
           then `Okay
-          else begin
-            Dcas.Backoff.once b;
-            loop ()
-          end
+          else loop (Dcas.Backoff.once_lazy b)
         end
       in
-      loop ()
+      loop None
     end
 
   (* --- Quiescent inspection --- *)

@@ -3,25 +3,29 @@
    ("currently used in load balancing algorithms").  Each worker owns a
    deque of tasks: it pushes and pops its own bottom end (LIFO, for
    locality) and steals from a victim's top end (FIFO, for load
-   spread).  Global termination is detected with a pending-task
-   counter: it is incremented before a task becomes visible and
-   decremented after the task body finishes, so it can only reach zero
-   when no task is queued or running.
+   spread).  Global termination is detected with a pending-task count
+   derived from per-worker counters ({!Supervisor.derived}): a worker
+   bumps its own [spawned_w] before a task becomes visible and its own
+   [executed_w] after a task body finishes, and pending is [base +
+   Σ spawned_w − Σ executed_w] over every worker ever registered, with
+   [base] = 1 for the root task.  It can only reach zero when no task
+   is queued or running, and no task touches a counter shared with
+   another worker.
 
    Two robustness layers ride on top of the classic design:
 
    - a per-task exception barrier: a task body that raises no longer
-     kills its worker domain (which would strand the pending counter
-     and hang every other worker); the exception is counted, the first
+     kills its worker domain (which would strand a pending unit and
+     hang every other worker); the exception is counted, the first
      one is re-raised by [run] after all domains have joined;
 
    - a supervised mode ([run_supervised]) tolerating fail-stop worker
      deaths ({!Harness.Crash}): the {!Supervisor} engine detects dead,
      silent or zombie workers and fences them; this module's adoption
      action drains a fenced worker's deque from the thief end into a
-     replacement, and the engine reconciles the pending counter once
-     the units lost with the dead workers are provably the only thing
-     keeping it above zero. *)
+     replacement, and the engine lowers the pending base once the
+     units lost with the dead workers are provably the only thing
+     keeping the count above zero. *)
 
 module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   Worksteal_intf.SCHEDULER = struct
@@ -29,7 +33,13 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     deques : task D.t array;
         (* slot contents are swapped on adoption; both old and new
            values are valid deques, so racy reads stay safe *)
-    pending : int Atomic.t;
+    base : int Atomic.t;
+        (* pending base: 1 for the root, lowered only by the
+           supervisor's write-offs *)
+    registry : counters list Atomic.t;
+        (* every worker's counters, newest first; a worker is
+           registered before its domain starts.  One writer at a time:
+           [start] before any domain runs, then the monitor. *)
     workers : int;
     steal_max : int;  (* tasks taken per steal; 1 = classic steal-one *)
     capacity : int;  (* per-deque capacity, for replacement deques *)
@@ -38,9 +48,10 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     wd : Harness.Watchdog.t option;
   }
 
-  (* Per-worker-domain counters, summed by the report without a shared
-     hot counter; the liveness side lives in the engine's record [w].
-     All atomics padded: these sit next to each other. *)
+  (* Per-worker-domain counters, the only ones a task touches: pending
+     and the report are sums over the registry.  The liveness side
+     lives in the engine's record [w].  All atomics padded: these sit
+     next to each other. *)
   and counters = {
     executed_w : int Atomic.t;
     raised_w : int Atomic.t;
@@ -62,8 +73,9 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   let rng ctx = ctx.rng
 
   (* Each spawned domain — initial worker or replacement — has its own
-     context.  A worker's progress for the zombie detector is the
-     tasks it completed (the engine adds its no-find scans). *)
+     context, registered here, before the domain starts.  A worker's
+     progress for the zombie detector is the tasks it completed (the
+     engine adds its no-find scans). *)
   let make_ctx pool ~worker ~rng =
     let ws =
       {
@@ -72,13 +84,21 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
         spawned_w = Dcas.Padding.make_atomic 0;
       }
     in
+    Atomic.set pool.registry (ws :: Atomic.get pool.registry);
     let progress () = Atomic.get ws.executed_w in
     { pool; worker; rng; w = Supervisor.worker ~progress ~slot:worker (); ws }
+
+  let executed_of ws = ws.executed_w
+  let spawned_of ws = ws.spawned_w
+
+  let pending pool =
+    Supervisor.derived ~base:pool.base ~executed:executed_of
+      ~spawned:spawned_of (fun () -> Atomic.get pool.registry)
 
   (* Run a task body and retire it, behind the exception barrier.  A
      raising task is a task bug, not a scheduler failure: count it,
      remember the first exception for [run] to re-raise, and retire
-     the task normally so [pending] still drains.  {!Harness.Crash.Died}
+     the task normally so pending still drains.  {!Harness.Crash.Died}
      is the one exception that must NOT be caught: it is a fail-stop
      fault — the domain dies here, the task's pending unit is written
      off later by the supervisor's reconciliation. *)
@@ -92,7 +112,6 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
         Atomic.incr ws.raised_w);
     Atomic.incr ws.executed_w;
     Atomic.set ctx.w.busy false;
-    Atomic.decr ctx.pool.pending;
     (* the watchdog heartbeat is per completed task, not per loop
        iteration: idle steal-spinning must not mask a genuine stall *)
     match ctx.pool.wd with
@@ -102,14 +121,14 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   (* A fenced worker no longer owns its slot: its push would land on
      the replacement's deque (owner-end, two owners) or on the drained
      old one (task stranded forever) — run inline instead, which is
-     always sound.  Stolen tasks are already counted in [pending], so
-     they are re-queued here directly, not via [spawn]. *)
+     always sound.  Stolen tasks are already counted in their
+     spawner's [spawned_w], so they are re-queued here directly, not
+     via [spawn]. *)
   let requeue ctx t =
     if Atomic.get ctx.w.fenced || not (D.push ctx.pool.deques.(ctx.worker) t)
     then execute ctx t
 
   let spawn ctx t =
-    Atomic.incr ctx.pool.pending;
     Atomic.incr ctx.ws.spawned_w;
     requeue ctx t
 
@@ -148,7 +167,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
             execute ctx t;
             loop ()
         | None ->
-            if Atomic.get ctx.pool.pending = 0 then ()
+            if pending ctx.pool = 0 then ()
             else begin
               (match steal_scan ctx with
               | [] ->
@@ -184,7 +203,8 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   let make_pool ?wd ~workers ~capacity ~steal_max () =
     {
       deques = Array.init workers (fun _ -> D.create ~capacity ());
-      pending = Atomic.make 0;
+      base = Atomic.make 0;
+      registry = Atomic.make [];
       workers;
       steal_max;
       capacity;
@@ -208,7 +228,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
       Array.init workers (fun worker ->
           make_ctx pool ~worker ~rng:(Harness.Splitmix.split master))
     in
-    Atomic.incr pool.pending;
+    Atomic.incr pool.base;
     if not (D.push pool.deques.(0) root) then
       invalid_arg "Scheduler: capacity too small for the root task";
     (master, pool, ctxs)
@@ -241,15 +261,17 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
   (* The adoption action: drain the fenced worker's deque from the
      thief end — safe concurrently with live thieves on every adapter —
      and hand the tasks to a replacement on a fresh deque.  The drained
-     tasks are already counted in [pending]; the replacement pushes
-     them itself (it owns the fresh deque), running inline any that do
-     not fit. *)
+     tasks are already counted as spawned; the replacement pushes them
+     itself (it owns the fresh deque), running inline any that do not
+     fit.  Batches are gathered newest-first and reversed once, so the
+     drain stays linear in the deque's size and the tasks keep their
+     oldest-first order. *)
   let adopt pool ~rng ~slot _old : counters Supervisor.replacement =
     let old = pool.deques.(slot) in
-    let rec drain acc =
+    let rec drain rev_acc =
       match D.steal_batch old ~max:pool.steal_max with
-      | [] -> acc
-      | ts -> drain (acc @ ts)
+      | [] -> List.rev rev_acc
+      | ts -> drain (List.rev_append ts rev_acc)
     in
     let tasks = drain [] in
     let fresh = D.create ~capacity:pool.capacity () in
@@ -274,9 +296,8 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     in
     Option.iter Harness.Watchdog.start watchdog;
     let m =
-      Supervisor.monitor config ~pending:pool.pending
-        ~executed:(fun ws -> ws.executed_w)
-        ~spawned:(fun ws -> ws.spawned_w)
+      Supervisor.monitor config ~pending:pool.base ~executed:executed_of
+        ~spawned:spawned_of
         ~may_reconcile:(fun () -> true)
         ~replace:(adopt pool ~rng:(Harness.Splitmix.split master))
         (Array.to_list (Array.map (fun ctx -> (ctx.w, ctx.ws)) ctxs))
@@ -289,7 +310,7 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     in
     let sup =
       Domain.spawn (fun () ->
-          Supervisor.run m ~finished:(fun () -> Atomic.get pool.pending = 0))
+          Supervisor.run m ~finished:(fun () -> pending pool = 0))
     in
     (* initial workers retire when pending reaches zero — naturally or
        by reconciliation; dead ones are joinable immediately *)
@@ -299,8 +320,8 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     reraise pool;
     let states = Supervisor.states m in
     {
-      Supervisor.spawned = 1 + Supervisor.total (fun ws -> ws.spawned_w) states;
-      executed = Supervisor.total (fun ws -> ws.executed_w) states;
+      Supervisor.spawned = 1 + Supervisor.total spawned_of states;
+      executed = Supervisor.total executed_of states;
       raised = Supervisor.total (fun ws -> ws.raised_w) states;
       killed = t.killed;
       presumed_dead = t.presumed_dead;

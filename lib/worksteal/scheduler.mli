@@ -2,16 +2,18 @@
     Plaxton [4] — the load-balancing application the paper cites for
     deques.  Workers pop their own deque's bottom (LIFO) and steal from
     random victims' tops (FIFO); global termination is detected with a
-    pending-task counter.
+    pending-task count derived from per-worker spawned/executed
+    counters ({!Supervisor.derived}), so no task touches a counter
+    shared with another worker.
 
     {!Make} is generic in the deque, so the restricted CAS-only ABP
     deque and the paper's general DCAS deques (by restriction) run
     identical workloads — the comparison of experiment E8.
 
     Robustness: task bodies run behind a per-task exception barrier (a
-    raising task no longer kills its worker and strands the pending
-    counter), and the supervised mode tolerates fail-stop worker
-    deaths with deque adoption and pending-counter reconciliation —
+    raising task no longer kills its worker and strands a pending
+    unit), and the supervised mode tolerates fail-stop worker deaths
+    with deque adoption and reconciliation of the pending count —
     experiment E22; see {!Worksteal_intf.SCHEDULER.run_supervised} and
     {!Supervisor}. *)
 

@@ -11,25 +11,32 @@
    zombie workers and fences them.  This module's adoption action
    quarantines and adopts a fenced consumer's home shard and spawns a
    replacement (each crash tid dies at most once, so replacements are
-   immortal); the engine then reconciles the pending counter under the
+   immortal); the engine then reconciles the pending count under the
    same quiescence certificate as {!Scheduler.Make.run_supervised}.
+
+   Pending is derived, as in the scheduler ({!Supervisor.derived}):
+   [base + Σ spawned_w − Σ executed_w] over every worker state ever
+   created.  A produced or served request touches only its own
+   domain's padded counters; the shared [base] moves only on the shed
+   paths (one unit each) and by the engine's write-offs.
 
    Conservation is the acceptance law, service-wide:
 
      spawned = executed + reconciled + shed   and   leftover = 0
 
    [spawned] counts pushes that were granted a pending unit (the unit
-   is taken BEFORE the push and returned if the push honestly answers
-   [`Full], so a death inside a push leaves the unit up whether or not
-   the item landed); [executed] counts pops served; [reconciled] is
+   is taken in the producer's [spawned_w] BEFORE the push and returned
+   there if the push honestly answers [`Full], so a death inside a
+   push leaves the unit up whether or not the item landed); [executed]
+   counts pops served; [reconciled] is
    what the quiescence certificate wrote off — at most one in-flight
    item per death, the same bound the scheduler proves.  [shed] is the
    deadline-enforcement path (E25): ops refused at admission (the home
    shard's observed p99 sojourn already exceeds the budget), ops whose
    push ran out of budget, and ops popped after their stamped expiry
-   all resolve their pending unit as first-class timed-out outcomes —
-   they keep their spawned unit, so shedding is visible in the books,
-   never silent.  [leftover] is the final quiescent drain of every
+   all resolve their pending unit as first-class timed-out outcomes,
+   by lowering the base — they keep their spawned unit, so shedding is
+   visible in the books, never silent.  [leftover] is the final quiescent drain of every
    shard, which must be empty precisely because a consumer's full
    no-find scan (the certificate's ingredient) walks every shard,
    quarantined ones included, primary and overflow both.
@@ -206,7 +213,7 @@ module Make (D : Deque.Deque_intf.S) = struct
   type state = {
     service : item S.t;
     cfg : config;
-    pending : int Atomic.t;
+    base : int Atomic.t;  (* pending base: minus units shed or written off *)
     stop : bool Atomic.t;  (* producers: stop injecting *)
     producers_running : int Atomic.t;
     drained : bool Atomic.t;  (* consumers may exit: stop + pending=0 *)
@@ -235,18 +242,19 @@ module Make (D : Deque.Deque_intf.S) = struct
 
   (* --- producer --- *)
 
-  (* A push is granted its pending unit BEFORE the attempt: if the
-     push honestly answers [`Full] the unit is returned; if the domain
-     dies inside, the unit stays up and is reconciled at quiescence
-     whether or not the item landed.  (If it landed, a consumer pops
-     it and the books balance through [executed].)  The deadline paths
-     resolve the unit as SHED instead of returning it — a timed-out op
-     was a real request the service failed, so it keeps its place in
-     the conservation law: refused at admission (the home shard's
-     observed p99 already exceeds the whole budget, so the enqueue
-     would only age into an expired pop) or timed out inside the push
-     itself.  Both surface to the observer as the first-class
-     [`Timeout] outcome. *)
+  (* A push is granted its pending unit in [spawned_w] BEFORE the
+     attempt: if the push honestly answers [`Full] the unit is
+     returned; if the domain dies inside, the unit stays up and is
+     reconciled at quiescence whether or not the item landed.  (If it
+     landed, a consumer pops it and the books balance through
+     [executed].)  The deadline paths resolve the unit as SHED, by
+     lowering the base, instead of returning it — a timed-out op was a
+     real request the service failed, so it keeps its place in the
+     conservation law: refused at admission (the home shard's observed
+     p99 already exceeds the whole budget, so the enqueue would only
+     age into an expired pop) or timed out inside the push itself.
+     Both surface to the observer as the first-class [`Timeout]
+     outcome. *)
   let produce st ws ~on_push ~rng value =
     let cfg = st.cfg and w = ws.w in
     let key = Harness.Splitmix.int rng ~bound:cfg.key_space in
@@ -256,7 +264,6 @@ module Make (D : Deque.Deque_intf.S) = struct
          < int_of_float (cfg.urgent_share *. 10_000.)
     in
     Atomic.set w.busy true;
-    Atomic.incr st.pending;
     Atomic.incr ws.spawned_w;
     let t0 = Unix.gettimeofday () in
     let admitted =
@@ -267,7 +274,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     in
     let out =
       if not admitted then begin
-        Atomic.decr st.pending;
+        Atomic.decr st.base;
         Atomic.incr ws.shed_adm_w;
         `Timeout
       end
@@ -283,14 +290,13 @@ module Make (D : Deque.Deque_intf.S) = struct
             Atomic.incr ws.ok_w;
             `Okay
         | `Full ->
-            Atomic.decr st.pending;
             Atomic.decr ws.spawned_w;
             Atomic.incr ws.full_w;
             `Full
         | `Timeout ->
             (* the budget died inside the push: shed, keeping the
                spawned unit on the books *)
-            Atomic.decr st.pending;
+            Atomic.decr st.base;
             Atomic.incr ws.shed_exp_w;
             Atomic.incr ws.timeout_w;
             `Timeout
@@ -396,12 +402,11 @@ module Make (D : Deque.Deque_intf.S) = struct
                 (* expired in queue: shed at dequeue — the op resolves
                    as a first-class timeout, its unit stays spawned *)
                 Atomic.incr ws.shed_exp_w;
-                Atomic.decr st.pending;
+                Atomic.decr st.base;
                 `Timeout
               end
               else begin
                 Atomic.incr ws.executed_w;
-                Atomic.decr st.pending;
                 (* overshoot is judged at completion, on a fresh clock
                    read: the gap between the expiry check above and
                    here is exactly the scheduling epsilon E25 allows *)
@@ -487,12 +492,16 @@ module Make (D : Deque.Deque_intf.S) = struct
     }
 
   (* Consumers may leave once the producers are gone and pending has
-     drained; reconciliation waits for the producers too. *)
+     drained; reconciliation waits for the producers too.  Both gates
+     read the derived count only after every producer domain has
+     exited: a producer lowers its [spawned_w] when a push answers
+     [`Full], and only once [spawned_w] is frozen does the count's
+     read order bound it from above. *)
   let producers_done st =
     Atomic.get st.stop && Atomic.get st.producers_running = 0
 
-  let finished st () =
-    if producers_done st && Atomic.get st.pending = 0 then
+  let finished st ~pending () =
+    if producers_done st && pending () = 0 then
       Atomic.set st.drained true;
     Atomic.get st.drained
 
@@ -519,7 +528,7 @@ module Make (D : Deque.Deque_intf.S) = struct
       {
         service;
         cfg = config;
-        pending = Dcas.Padding.make_atomic 0;
+        base = Dcas.Padding.make_atomic 0;
         stop = Dcas.Padding.make_atomic false;
         producers_running = Dcas.Padding.make_atomic config.producers;
         drained = Dcas.Padding.make_atomic false;
@@ -533,7 +542,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     Option.iter Harness.Watchdog.start watchdog;
     let t0 = Unix.gettimeofday () in
     let m =
-      Supervisor.monitor config.sup ~pending:st.pending
+      Supervisor.monitor config.sup ~pending:st.base
         ~executed:(fun ws -> ws.executed_w)
         ~spawned:(fun ws -> ws.spawned_w)
         ~may_reconcile:(fun () -> producers_done st)
@@ -544,7 +553,9 @@ module Make (D : Deque.Deque_intf.S) = struct
       List.map (fun ws -> Domain.spawn (body st ws ~on_push ~on_pop)) wss
     in
     let sup =
-      Domain.spawn (fun () -> Supervisor.run m ~finished:(finished st))
+      Domain.spawn (fun () ->
+          Supervisor.run m
+            ~finished:(finished st ~pending:(fun () -> Supervisor.pending m)))
     in
     (match driver with
     | Some f -> f ()

@@ -6,8 +6,10 @@
     replaces dead, silent or zombie workers.  The service's adoption
     action takes over a failed consumer's home shard (quarantine,
     drain into survivors, revive for the replacement), and the engine
-    reconciles the pending counter under its quiescence certificate
-    once the producers have stopped.
+    reconciles the pending count under its quiescence certificate
+    once the producers have stopped.  Pending is derived from the
+    workers' own counters ({!Supervisor.derived}), so a produced or
+    served request touches no counter shared with another worker.
 
     The acceptance law, service-wide and fault-storm-proof:
 

@@ -3,12 +3,19 @@
    Both supervised runtimes — the work-stealing scheduler's
    [Scheduler.Make.run_supervised] and [Shard_service.Make.run] — run
    a monitor domain beside their workers.  This module is that
-   monitor, once: the policy knobs, the run report, the quiescence
-   tracker that decides when leftover [pending] units are provably
-   phantom, and the engine that drives detect → fence → replace →
-   reconcile.  A runtime supplies only what differs: its worker loop,
-   its adoption action (the [replace] callback), its finish predicate
-   and its report.
+   monitor, once: the policy knobs, the run report, the derived
+   pending count, the quiescence tracker that decides when leftover
+   pending units are provably phantom, and the engine that drives
+   detect → fence → replace → reconcile.  A runtime supplies only what
+   differs: its worker loop, its adoption action (the [replace]
+   callback), its finish predicate and its report.
+
+   Pending is never a shared hot counter.  Each worker counts what it
+   spawned and executed in its own padded atomics, and the count is
+   derived as [base + Σ spawned − Σ executed] over every worker state
+   ever created ({!derived}).  The [base] atomic moves only off the hot
+   path: the scheduler's root task, the service's shed paths, and this
+   engine's write-offs.
 
    Fault model (fail-stop, the paper's Section 1 "a process stops
    forever"): a worker domain can die at any instrumented shared-memory
@@ -25,11 +32,11 @@
    What the dead worker owned is NOT lost: the runtime's [replace]
    drains it (the scheduler steals the deque empty from the thief end;
    the service quarantines and adopts the home shard) and hands it to
-   a replacement.  Only the units above remain, and they keep
-   [pending] above zero forever, which would hang termination
-   detection.  The quiescence tracker certifies the moment they are
-   the ONLY thing keeping [pending] up, so the engine can reconcile
-   the counter to zero without ever writing off a live task. *)
+   a replacement.  Only the units above remain, and they keep the
+   derived pending count above zero forever, which would hang
+   termination detection.  The quiescence tracker certifies the moment
+   they are the ONLY thing keeping it up, so the engine can lower the
+   base by exactly that much without ever writing off a live task. *)
 
 type config = {
   interval : float;
@@ -90,7 +97,7 @@ let pp_report ppf r =
 
 (* --- Quiescence certification ---
 
-   The supervisor may reconcile [pending] to zero only when no live
+   The supervisor may reconcile pending to zero only when no live
    task exists anywhere — queued, stolen-in-hand, or executing.  The
    tracker certifies this from per-sweep observations alone:
 
@@ -104,8 +111,8 @@ let pp_report ppf r =
 
    Together: any queued task would have been found (contradiction),
    any executing task would show as busy or move [executed], and any
-   task mid-spawn belongs to a busy worker.  So the remaining
-   [pending] units are exactly the dead workers' lost units. *)
+   task mid-spawn belongs to a busy worker.  So the remaining pending
+   units are exactly the dead workers' lost units. *)
 
 type quiescence = {
   mutable prev : int * int * int;  (* pending, executed, spawned *)
@@ -220,7 +227,7 @@ type tally = {
 type 'a monitor = {
   config : config;
   clock : unit -> float;
-  pending : int Atomic.t;
+  base : int Atomic.t;  (* the pending base; see [derived] *)
   executed : 'a -> int Atomic.t;
   spawned : 'a -> int Atomic.t;
   may_reconcile : unit -> bool;
@@ -261,7 +268,7 @@ let monitor ?(clock = Unix.gettimeofday) config ~pending ~executed ~spawned
   {
     config;
     clock;
-    pending;
+    base = pending;
     executed;
     spawned;
     may_reconcile;
@@ -281,10 +288,31 @@ let monitor ?(clock = Unix.gettimeofday) config ~pending ~executed ~spawned
       };
   }
 
-let total field states =
-  List.fold_left (fun n s -> n + Atomic.get (field s)) 0 states
+let rec sum field n = function
+  | [] -> n
+  | s :: rest -> sum field (n + Atomic.get (field s)) rest
+
+let total field states = sum field 0 states
+
+(* The derived pending count.  [base] and every [executed] can only
+   fall (as terms of the sum) and every [spawned] can only rise, so
+   reading the first group before the second bounds the true count
+   from above at any instant between the two phases: zero is never
+   read early.  [states] is re-read for the second phase, so a worker
+   registered in between (a replacement) is covered.  The bound needs
+   [spawned] to only rise while the count gates anything; the shard
+   service's producers lower it on [`Full], so the service reads the
+   count only once they have stopped. *)
+let derived ~base ~executed ~spawned states =
+  let b = Atomic.get base in
+  let e = total executed (states ()) in
+  b - e + total spawned (states ())
 
 let states m = List.map (fun t -> t.state) m.all
+
+let pending m =
+  derived ~base:m.base ~executed:m.executed ~spawned:m.spawned (fun () ->
+      states m)
 
 (* Judge the current owner of [slot] and replace it if it failed.
    Heartbeat sampling is shared by both detectors, so it happens
@@ -355,10 +383,12 @@ let judge m ~now slot t =
   end
 
 (* One monitor sweep: judge every slot's owner, then feed the
-   quiescence tracker and reconcile [pending] when it certifies that
-   only dead workers' lost units remain.  Only certifying workers'
-   scans count — theirs are the full no-find scans over everything a
-   live task could sit in. *)
+   quiescence tracker and reconcile when it certifies that only dead
+   workers' lost units remain.  Only certifying workers' scans count —
+   theirs are the full no-find scans over everything a live task could
+   sit in.  Pending is derived in [derived]'s read order; reconciling
+   re-reads both totals and lowers the base only if neither moved, so
+   the [pending] written off is exact, not just an upper bound. *)
 let sweep m ~now =
   Array.iteri (judge m ~now) m.owners;
   let live =
@@ -374,17 +404,19 @@ let sweep m ~now =
            Option.map (fun _ -> Atomic.get t.w.scans) t.w.progress)
          live)
   in
-  let pending = Atomic.get m.pending in
   let states = states m in
-  let safe =
+  let base = Atomic.get m.base in
+  let executed = total m.executed states in
+  let spawned = total m.spawned states in
+  let pending = base + spawned - executed in
+  if
     m.may_reconcile ()
-    && observe m.q ~pending
-         ~executed:(total m.executed states)
-         ~spawned:(total m.spawned states)
-         ~busy ~scans ~quiet_sweeps:m.config.quiet_sweeps
-  in
-  if safe && Atomic.compare_and_set m.pending pending 0 then
-    m.t <- { m.t with reconciled = m.t.reconciled + pending }
+    && observe m.q ~pending ~executed ~spawned ~busy ~scans
+         ~quiet_sweeps:m.config.quiet_sweeps
+    && total m.executed states = executed
+    && total m.spawned states = spawned
+    && Atomic.compare_and_set m.base base (base - pending)
+  then m.t <- { m.t with reconciled = m.t.reconciled + pending }
 
 let tally m =
   {

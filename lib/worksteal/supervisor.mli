@@ -12,7 +12,14 @@
     worker held in hand — for the scheduler the task it was executing,
     a child mid-push, and a stolen batch, at most [steal_batch + 2]
     pending units per death — written off by reconciliation once
-    provably phantom. *)
+    provably phantom.
+
+    Pending is derived, never a shared hot counter: each worker counts
+    what it spawned and executed in its own padded atomics, and the
+    count is [base + Σ spawned − Σ executed] over every worker state
+    ever created ({!derived}).  The [base] atomic changes only off the
+    hot path: the scheduler's root task, the service's shed paths, and
+    the engine's write-offs. *)
 
 type config = {
   interval : float;
@@ -69,7 +76,7 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {2 Quiescence certification}
 
-    The supervisor may write off leftover [pending] units only when no
+    The supervisor may write off leftover pending units only when no
     live task exists anywhere.  The tracker certifies this from
     per-sweep observations: counters frozen and nobody busy for
     [quiet_sweeps] sweeps, {e and} every live worker completed at
@@ -96,6 +103,21 @@ val observe :
     [busy] is true when any live worker is executing a task body.
     Returns [true] when reconciling [pending] to zero is provably
     safe. *)
+
+val derived :
+  base:int Atomic.t ->
+  executed:('a -> int Atomic.t) ->
+  spawned:('a -> int Atomic.t) ->
+  (unit -> 'a list) ->
+  int
+(** [derived ~base ~executed ~spawned states] is the pending count
+    [base + Σ spawned − Σ executed] over [states ()], every worker
+    state ever created.  It reads [base] and every [executed] first and
+    calls [states] again to read every [spawned] last.  While [base]
+    only falls and both counters only rise, the result bounds the true
+    count from above at an instant between the two phases, so zero is
+    never read early, and a worker registered between the phases is
+    still counted. *)
 
 (** {2 The monitor engine}
 
@@ -159,8 +181,11 @@ val monitor :
   (worker * 'a) list ->
   'a monitor
 (** A monitor over the initial workers (the [i]-th must have slot [i]).
-    [executed] and [spawned] name the runtime's per-worker counters the
-    quiescence tracker sums; [may_reconcile] gates reconciliation
+    [pending] is the {e base} of the derived pending count ({!derived}):
+    the units granted or resolved outside the per-worker counters, the
+    one word reconciliation writes.  [executed] and [spawned] name the
+    runtime's per-worker counters the count and the quiescence tracker
+    sum; [may_reconcile] gates reconciliation
     (e.g. only once producers stopped); [replace ~slot old] adopts what
     the fenced worker [old] owned and starts its replacement.  [clock]
     (default [Unix.gettimeofday]) stamps the initial heartbeats and
@@ -173,9 +198,11 @@ val sweep : 'a monitor -> now:float -> unit
     the last sweep while its progress stayed frozen past
     [zombie_after]) sets [fenced] and calls [replace]; the replacement
     becomes the slot's owner, so a fenced worker is never judged
-    again.  Then feeds {!observe} and, when [may_reconcile ()] holds
-    and the tracker certifies quiescence, writes [pending] off to
-    zero. *)
+    again.  Then derives pending, feeds {!observe} and, when
+    [may_reconcile ()] holds and the tracker certifies quiescence,
+    re-reads both counter totals: only if neither moved does it CAS
+    the base from its observed value down by the derived count, which
+    writes pending off to exactly zero. *)
 
 val run : 'a monitor -> finished:(unit -> bool) -> tally
 (** Sweep every [interval] seconds until [finished ()] holds and every
@@ -185,6 +212,11 @@ val run : 'a monitor -> finished:(unit -> bool) -> tally
 val tally : 'a monitor -> tally
 val states : 'a monitor -> 'a list
 (** Every tracked worker's runtime state, newest first. *)
+
+val pending : 'a monitor -> int
+(** The derived pending count over every tracked worker.  Call it on
+    the monitor's domain (e.g. from [run]'s [finished]), which is the
+    only one that adds replacements to the tracked set. *)
 
 val total : ('a -> int Atomic.t) -> 'a list -> int
 (** Sum one per-worker counter over states. *)

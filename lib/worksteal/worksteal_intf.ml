@@ -59,10 +59,10 @@ module type SCHEDULER = sig
 
       A task body that raises does not kill its worker: the exception
       is caught by a per-task barrier, the task retires normally so
-      the pending counter still drains, and the {e first} such
+      the pending count still drains, and the {e first} such
       exception is re-raised after every worker domain has joined.
       Fail-stop deaths ({!Harness.Crash.Died}) are NOT tolerated here
-      — a killed worker strands the pending counter and the run hangs;
+      — a killed worker strands a pending unit and the run hangs;
       use [run_supervised] for crash-injected workloads. *)
 
   val run_supervised :

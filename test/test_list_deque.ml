@@ -212,6 +212,26 @@ let test_recycling_model_checked () =
        ~setup:[ Pop_right ]
        [ [ Push_right 2 ]; [ Pop_right ] ])
 
+(* An uncontended pop of an empty deque reads SR's (SL's) inward
+   pointer, finds the other sentinel and returns [`Empty]: it needs no
+   DCAS and no backoff state, which is created at the first failed
+   DCAS only.  The ceiling is the measured 7 words per pop plus 1. *)
+let test_empty_pop_alloc_ceiling () =
+  let module D = Deque.List_deque.Lockfree in
+  let d = D.make () in
+  List.iter
+    (fun (name, pop) ->
+      let w =
+        Test_support.words_per_call (fun () ->
+            match pop d with
+            | `Empty -> ()
+            | `Value _ -> Alcotest.fail "pop of an empty deque found a value")
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f words per empty %s <= 8" w name)
+        true (w <= 8.))
+    [ ("pop_left", D.pop_left); ("pop_right", D.pop_right) ]
+
 let () =
   Alcotest.run "list_deque"
     [
@@ -237,4 +257,9 @@ let () =
             test_recycling_model_checked;
         ] );
       ("oracle equivalence", qcheck_tests);
+      ( "allocation ceiling",
+        [
+          Alcotest.test_case "lock-free empty pop_left / pop_right" `Quick
+            test_empty_pop_alloc_ceiling;
+        ] );
     ]

@@ -256,6 +256,81 @@ let test_fenced_never_judged_again () =
   Alcotest.(check int) "replaced exactly once" 1 (List.length !(f.hires));
   Alcotest.(check int) "one zombie" 1 (Sup.tally f.m).zombies_fenced
 
+(* Pending is derived: the base plus the workers' spawned counters
+   minus their executed counters.  Two workers that spawned 3 tasks
+   and executed 1, over a base of 0, hold 2 phantom units (e.g. lost
+   with a dead worker).  Once the quiescence certificate holds, the
+   engine writes off exactly those 2 by lowering the base, and the
+   derived count reads 0. *)
+let test_reconcile_derived_count () =
+  let states =
+    [ (Atomic.make 2, Atomic.make 1); (Atomic.make 1, Atomic.make 0) ]
+  in
+  let workers =
+    List.mapi (fun slot _ -> Sup.worker ~progress:(fun () -> 0) ~slot ()) states
+  in
+  let base = Atomic.make 0 in
+  let m =
+    Sup.monitor ~clock:(fun () -> 0.) Sup.default ~pending:base ~executed:snd
+      ~spawned:fst
+      ~may_reconcile:(fun () -> true)
+      ~replace:(fun ~slot:_ _ -> Alcotest.fail "no worker failed")
+      (List.combine workers states)
+  in
+  let derived () =
+    Atomic.get base
+    + Sup.total fst states
+    - Sup.total snd states
+  in
+  Alcotest.(check int) "derived pending before" 2 (derived ());
+  (* every sweep sees live heartbeats and two more full no-find scans
+     per worker, with the counters frozen: the certificate's window *)
+  for i = 1 to 6 do
+    List.iter
+      (fun (w : Sup.worker) ->
+        Atomic.incr w.ticks;
+        ignore (Atomic.fetch_and_add w.scans 2))
+      workers;
+    Sup.sweep m ~now:(float_of_int i *. 0.002)
+  done;
+  Alcotest.(check int) "exactly the phantom units reconciled" 2
+    (Sup.tally m).reconciled;
+  Alcotest.(check int) "derived pending after" 0 (derived ());
+  Alcotest.(check int) "counters untouched" 3 (Sup.total fst states)
+
+(* Task bodies that sleep before they spawn keep the pending count
+   alive only through a busy worker while every other worker idles and
+   polls it: the window where a count read out of order would end the
+   run early.  Every run must execute exactly the whole tree. *)
+let test_late_spawns () =
+  let module S = Worksteal.Scheduler.Array_scheduler in
+  let depth = 6 in
+  let expect = (1 lsl (depth + 1)) - 1 in
+  List.iter
+    (fun (workers, supervised) ->
+      for _ = 1 to 5 do
+        let ran = Atomic.make 0 in
+        let rec task d ctx =
+          Atomic.incr ran;
+          if d > 0 then begin
+            Unix.sleepf 50e-6;
+            S.spawn ctx (task (d - 1));
+            S.spawn ctx (task (d - 1))
+          end
+        in
+        if supervised then begin
+          let r = S.run_supervised ~workers ~capacity:256 (task depth) in
+          Alcotest.(check bool) "conserved" true (Sup.conserved r);
+          Alcotest.(check int) "nothing reconciled" 0 r.reconciled
+        end
+        else S.run ~workers ~capacity:256 (task depth);
+        Alcotest.(check int)
+          (Printf.sprintf "tasks run on %d workers (%s)" workers
+             (if supervised then "run_supervised" else "run"))
+          expect (Atomic.get ran)
+      done)
+    [ (2, false); (4, false); (2, true); (4, true) ]
+
 (* The scheduler honours [zombie_after]: its workers certify, so the
    detector watches them, and a healthy run — every loop iteration
    completes a task or a no-find scan — fences nobody. *)
@@ -299,5 +374,12 @@ let () =
             test_fenced_never_judged_again;
           Alcotest.test_case "scheduler honours zombie_after" `Slow
             test_scheduler_zombie_after_healthy;
+          Alcotest.test_case "reconciles the derived pending count" `Quick
+            test_reconcile_derived_count;
+        ] );
+      ( "termination",
+        [
+          Alcotest.test_case "late spawns never end the run early" `Quick
+            test_late_spawns;
         ] );
     ]
