@@ -1298,8 +1298,8 @@ let e21 ~quick =
      descriptor vs generic entry-array CASN, single domain,
      uncontended.  "write" changes both words (the shape of a
      successful push/pop); "confirm" is a no-op on both (the shape of
-     the empty/full boundary confirmations), where value elision also
-     removes both release allocations. *)
+     the empty/full boundary confirmations), which the dcas2 path
+     certifies from three plain reads with no descriptor at all. *)
   let quota = if quick then 0.2 else 0.4 in
   let n_alloc = cnt ~quick 100_000 in
   let alloc_rows =
@@ -1366,8 +1366,9 @@ let e21 ~quick =
     alloc_rows;
   note
     "uncontended successful DCAS on two int locations; 'confirm' is the\n\
-     no-op shape of the deques' boundary checks, where value elision\n\
-     reinstalls the original blocks and skips both release allocations";
+     no-op shape of the deques' boundary checks, which dcas2 certifies\n\
+     from three plain reads (no descriptor: 0 words) and generic builds\n\
+     a full descriptor for";
   (* --- Section B: symmetric batch traffic over one array deque,
      2 domains, batch sizes 1/4/16 on both substrate paths.  Each
      domain pushes a k-batch onto its end and pops a k-batch off the

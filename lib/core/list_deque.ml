@@ -218,69 +218,69 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
     in
     loop None
 
-  (* Figure 11: right-side pop. *)
-  let pop_right t =
-    let rec loop b =
-      let old_l = M.get t.sr.left in
-      let target = node_of old_l.ptr in
-      let v = M.get target.value in
-      match v with
-      | SentL -> `Empty (* line 5: SR points directly at SL *)
-      | SentR -> assert false (* SR->L never points at SR *)
-      | Null | Item _ ->
-          if old_l.deleted then begin
-            (* lines 6-7: finish the pending deletion, then retry *)
-            delete_right t;
-            loop b
-          end
-          else begin
-            match v with
-            | Null ->
-                (* lines 8-12: right neighbor logically deleted by a
-                   popLeft; confirm (pointer, null) atomically and
-                   report empty. *)
-                if M.dcas t.sr.left target.value old_l v old_l v then `Empty
-                else loop (Dcas.Backoff.once_lazy b)
-            | Item x ->
-                (* lines 13-19: claim the value and mark the node
-                   deleted in the same DCAS. *)
-                let new_l = { ptr = old_l.ptr; deleted = true } in
-                if M.dcas t.sr.left target.value old_l v new_l Null then
-                  `Value x
-                else loop (Dcas.Backoff.once_lazy b)
-            | SentL | SentR -> assert false
-          end
-    in
-    loop None
+  (* Figure 11: right-side pop.  As in [Array_deque], each pop's retry
+     loop is a top-level function of the deque and the backoff state,
+     so an uncontended call allocates no loop closure. *)
+  let rec pop_right_from t b =
+    let old_l = M.get t.sr.left in
+    let target = node_of old_l.ptr in
+    let v = M.get target.value in
+    match v with
+    | SentL -> `Empty (* line 5: SR points directly at SL *)
+    | SentR -> assert false (* SR->L never points at SR *)
+    | Null | Item _ ->
+        if old_l.deleted then begin
+          (* lines 6-7: finish the pending deletion, then retry *)
+          delete_right t;
+          pop_right_from t b
+        end
+        else begin
+          match v with
+          | Null ->
+              (* lines 8-12: right neighbor logically deleted by a
+                 popLeft; confirm (pointer, null) atomically and
+                 report empty. *)
+              if M.dcas t.sr.left target.value old_l v old_l v then `Empty
+              else pop_right_from t (Dcas.Backoff.once_lazy b)
+          | Item x ->
+              (* lines 13-19: claim the value and mark the node
+                 deleted in the same DCAS. *)
+              let new_l = { ptr = old_l.ptr; deleted = true } in
+              if M.dcas t.sr.left target.value old_l v new_l Null then
+                `Value x
+              else pop_right_from t (Dcas.Backoff.once_lazy b)
+          | SentL | SentR -> assert false
+        end
+
+  let pop_right t = pop_right_from t None
 
   (* Figure 32 (typo fixed): left-side pop. *)
-  let pop_left t =
-    let rec loop b =
-      let old_r = M.get t.sl.right in
-      let target = node_of old_r.ptr in
-      let v = M.get target.value in
-      match v with
-      | SentR -> `Empty
-      | SentL -> assert false
-      | Null | Item _ ->
-          if old_r.deleted then begin
-            delete_left t;
-            loop b
-          end
-          else begin
-            match v with
-            | Null ->
-                if M.dcas t.sl.right target.value old_r v old_r v then `Empty
-                else loop (Dcas.Backoff.once_lazy b)
-            | Item x ->
-                let new_r = { ptr = old_r.ptr; deleted = true } in
-                if M.dcas t.sl.right target.value old_r v new_r Null then
-                  `Value x
-                else loop (Dcas.Backoff.once_lazy b)
-            | SentL | SentR -> assert false
-          end
-    in
-    loop None
+  let rec pop_left_from t b =
+    let old_r = M.get t.sl.right in
+    let target = node_of old_r.ptr in
+    let v = M.get target.value in
+    match v with
+    | SentR -> `Empty
+    | SentL -> assert false
+    | Null | Item _ ->
+        if old_r.deleted then begin
+          delete_left t;
+          pop_left_from t b
+        end
+        else begin
+          match v with
+          | Null ->
+              if M.dcas t.sl.right target.value old_r v old_r v then `Empty
+              else pop_left_from t (Dcas.Backoff.once_lazy b)
+          | Item x ->
+              let new_r = { ptr = old_r.ptr; deleted = true } in
+              if M.dcas t.sl.right target.value old_r v new_r Null then
+                `Value x
+              else pop_left_from t (Dcas.Backoff.once_lazy b)
+          | SentL | SentR -> assert false
+        end
+
+  let pop_left t = pop_left_from t None
 
   (* Figure 13: right-side push. *)
   let push_right t v =

@@ -187,19 +187,24 @@ module Make (D : Deque_intf.S) = struct
       max_latency_ns = Atomic.get t.c_max_ns;
     }
 
-  let note_latency t ~t0 =
-    let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    let rec bump () =
-      let cur = Atomic.get t.c_max_ns in
-      if ns > cur && not (Atomic.compare_and_set t.c_max_ns cur ns) then bump ()
-    in
-    bump ()
+  (* Clock: every timing below reads the one monotonic integer clock,
+     {!Dcas.Clock.now_ns}.  [t0] is the call's entry in ns and
+     [budget] its deadline in ns from [t0], or [no_budget] when the
+     call carries none, so no path allocates a float or a closure to
+     time itself. *)
+  let rec bump_max c ns =
+    let cur = Atomic.get c in
+    if ns > cur && not (Atomic.compare_and_set c cur ns) then bump_max c ns
 
-  (* Deadline bookkeeping: [deadline] is a per-call budget in seconds,
-     measured from the call's entry.  [None] = no deadline. *)
-  let expired ~t0 = function
-    | None -> false
-    | Some budget -> Unix.gettimeofday () -. t0 >= budget
+  let note_latency t ~t0 = bump_max t.c_max_ns (Dcas.Clock.now_ns () - t0)
+  let no_budget = -1
+
+  let budget_of = function
+    | None -> no_budget
+    | Some s -> max 0 (Dcas.Clock.of_seconds s)
+
+  let expired ~t0 budget =
+    budget <> no_budget && Dcas.Clock.now_ns () - t0 >= budget
 
   let finish t ~t0 (counter : int Atomic.t) outcome =
     Atomic.incr counter;
@@ -263,50 +268,51 @@ module Make (D : Deque_intf.S) = struct
 
   (* Retrying is bounded two ways: the Retry policy caps the attempt
      COUNT (exhaustion surfaces as `Full — honest backpressure), while
-     a [?deadline] bounds the attempt WINDOW in wall-clock time
-     (expiry surfaces as `Timeout).  A deadline is an explicit opt-in
-     to waiting, so when one is given it governs: retrying continues
-     past the count cap until the budget is spent. *)
+     a [?deadline] bounds the attempt WINDOW in time (expiry surfaces
+     as `Timeout).  A deadline is an explicit opt-in to waiting, so
+     when one is given it governs: retrying continues past the count
+     cap until the budget is spent.  The retry loop is a top-level
+     function, so a call allocates no closure. *)
+  let retry_cap t =
+    match t.full with
+    | Retry { max_attempts } -> max_attempts
+    | Reject | Spill -> 1
+
+  let rec push_from t ~side v ~t0 ~budget attempt backoff =
+    match push_primary t ~side v with
+    | `Okay ->
+        try_refill t ~side;
+        finish t ~t0 t.c_ok `Okay
+    | `Full -> (
+        match t.full with
+        | Spill -> (
+            match push_overflow t ~side v with
+            | `Okay ->
+                Atomic.incr t.c_spilled;
+                finish t ~t0 t.c_ok `Okay
+            | `Full ->
+                (* overflow allocation failed: genuine saturation *)
+                finish t ~t0 t.c_full `Full)
+        | Reject | Retry _ ->
+            if budget <> no_budget then
+              if expired ~t0 budget then finish t ~t0 t.c_timeout `Timeout
+              else begin
+                Atomic.incr t.c_retries;
+                let backoff = Dcas.Backoff.once_lazy backoff in
+                if expired ~t0 budget then finish t ~t0 t.c_timeout `Timeout
+                else push_from t ~side v ~t0 ~budget (attempt + 1) backoff
+              end
+            else if attempt < retry_cap t then begin
+              Atomic.incr t.c_retries;
+              push_from t ~side v ~t0 ~budget (attempt + 1)
+                (Dcas.Backoff.once_lazy backoff)
+            end
+            else finish t ~t0 t.c_full `Full)
+
   let push ?deadline t ~side v : push_outcome =
-    let t0 = Unix.gettimeofday () in
-    if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
-    else
-      let budgeted =
-        match t.full with Retry { max_attempts } -> max_attempts | _ -> 1
-      in
-      let rec go attempt backoff =
-        match push_primary t ~side v with
-        | `Okay ->
-            try_refill t ~side;
-            finish t ~t0 t.c_ok `Okay
-        | `Full -> (
-            match t.full with
-            | Spill -> (
-                match push_overflow t ~side v with
-                | `Okay ->
-                    Atomic.incr t.c_spilled;
-                    finish t ~t0 t.c_ok `Okay
-                | `Full ->
-                    (* overflow allocation failed: genuine saturation *)
-                    finish t ~t0 t.c_full `Full)
-            | Reject | Retry _ ->
-                if deadline <> None then
-                  if expired ~t0 deadline then
-                    finish t ~t0 t.c_timeout `Timeout
-                  else begin
-                    Atomic.incr t.c_retries;
-                    let backoff = Dcas.Backoff.once_lazy backoff in
-                    if expired ~t0 deadline then
-                      finish t ~t0 t.c_timeout `Timeout
-                    else go (attempt + 1) backoff
-                  end
-                else if attempt < budgeted then begin
-                  Atomic.incr t.c_retries;
-                  go (attempt + 1) (Dcas.Backoff.once_lazy backoff)
-                end
-                else finish t ~t0 t.c_full `Full)
-      in
-      go 1 None
+    let t0 = Dcas.Clock.now_ns () and budget = budget_of deadline in
+    if expired ~t0 budget then finish t ~t0 t.c_timeout `Timeout
+    else push_from t ~side v ~t0 ~budget 1 None
 
   (* --- pop --- *)
 
@@ -323,34 +329,31 @@ module Make (D : Deque_intf.S) = struct
         | `Right -> Overflow.pop_right o
         | `Left -> Overflow.pop_left o)
 
-  let pop ?deadline t ~side : 'a pop_outcome =
-    let t0 = Unix.gettimeofday () in
-    if expired ~t0 deadline then finish t ~t0 t.c_timeout `Timeout
-    else
-      let rec go backoff =
-        match pop_primary t ~side with
+  let rec pop_from t ~side ~t0 ~budget backoff =
+    match pop_primary t ~side with
+    | `Value v ->
+        (* the pop freed one slot: prime it with a parked value *)
+        try_refill t ~side;
+        finish t ~t0 t.c_ok (`Value v)
+    | `Empty -> (
+        match pop_overflow t ~side with
         | `Value v ->
-            (* the pop freed one slot: prime it with a parked value *)
-            try_refill t ~side;
+            Atomic.incr t.c_drained;
             finish t ~t0 t.c_ok (`Value v)
-        | `Empty -> (
-            match pop_overflow t ~side with
-            | `Value v ->
-                Atomic.incr t.c_drained;
-                finish t ~t0 t.c_ok (`Value v)
-            | `Empty ->
-                if deadline = None then finish t ~t0 t.c_empty `Empty
-                else if expired ~t0 deadline then
-                  finish t ~t0 t.c_timeout `Timeout
-                else begin
-                  Atomic.incr t.c_retries;
-                  let backoff = Dcas.Backoff.once_lazy backoff in
-                  if expired ~t0 deadline then
-                    finish t ~t0 t.c_timeout `Timeout
-                  else go backoff
-                end)
-      in
-      go None
+        | `Empty ->
+            if budget = no_budget then finish t ~t0 t.c_empty `Empty
+            else if expired ~t0 budget then finish t ~t0 t.c_timeout `Timeout
+            else begin
+              Atomic.incr t.c_retries;
+              let backoff = Dcas.Backoff.once_lazy backoff in
+              if expired ~t0 budget then finish t ~t0 t.c_timeout `Timeout
+              else pop_from t ~side ~t0 ~budget backoff
+            end)
+
+  let pop ?deadline t ~side : 'a pop_outcome =
+    let t0 = Dcas.Clock.now_ns () and budget = budget_of deadline in
+    if expired ~t0 budget then finish t ~t0 t.c_timeout `Timeout
+    else pop_from t ~side ~t0 ~budget None
 
   (* The four named operations of the deque vocabulary. *)
   let push_right ?deadline t v = push ?deadline t ~side:`Right v

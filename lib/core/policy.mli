@@ -93,8 +93,9 @@ module Make (D : Deque_intf.S) : sig
   val push_left : ?deadline:float -> 'a t -> 'a -> push_outcome
   val pop_right : ?deadline:float -> 'a t -> 'a pop_outcome
   val pop_left : ?deadline:float -> 'a t -> 'a pop_outcome
-  (** [deadline] is this call's wall-clock budget in seconds, measured
-      from entry.  With a deadline, a push that keeps finding the deque
+  (** [deadline] is this call's budget in seconds, measured from entry
+      on the monotonic {!Dcas.Clock}, so a wall-clock step cannot
+      shorten or stretch it.  With a deadline, a push that keeps finding the deque
       full (and a pop that keeps finding it empty) retries with backoff
       until the budget is spent, then returns [`Timeout]; the deadline
       governs even under a {!Retry} policy's attempt cap.  Without a

@@ -145,16 +145,14 @@ module Make (D : Deque_intf.S) = struct
      every shard is quarantined, fall back to the home shard — its
      deque is still safe storage, and a later adoption sweep or steal
      scan recovers anything parked there. *)
-  let route t ~key =
+  let rec probe t ~home i =
     let k = Array.length t.shards in
-    let home = shard_of t ~key in
-    let rec probe i =
-      if i >= k then home
-      else
-        let s = (home + i) mod k in
-        if Atomic.get t.alive.(s) then s else probe (i + 1)
-    in
-    probe 0
+    if i >= k then home
+    else
+      let s = (home + i) mod k in
+      if Atomic.get t.alive.(s) then s else probe t ~home (i + 1)
+
+  let route t ~key = probe t ~home:(shard_of t ~key) 0
 
   let side_of ~urgent = if urgent then `Left else `Right
 
@@ -289,68 +287,71 @@ module Make (D : Deque_intf.S) = struct
   (* Steals always take from the victim's bulk (right) end, whatever
      end the caller is serving: the victim's urgent traffic keeps its
      left end, and a starving urgent consumer would rather have a bulk
-     item than none. *)
-  let try_steal t ~home =
-    let k = Array.length t.shards in
-    (* visit every other shard, quarantined ones included: stragglers
-       from a push that raced adoption are only reachable here *)
-    let rec scan i =
-      if i >= k then `Empty
-      else
-        let victim = (home + i) mod k in
-        match P.pop t.shards.(victim) ~side:`Right with
-        | `Value v ->
-            Atomic.incr t.s_stolen;
-            Atomic.incr t.s_popped.(victim);
-            if t.steal_batch > 1 then
-              ignore (rebalance t ~home ~victim ~budget:(t.steal_batch - 1));
-            `Value v
-        | `Empty | `Timeout -> scan (i + 1)
-    in
-    scan 1
+     item than none.  The scan visits every other shard, quarantined
+     ones included: stragglers from a push that raced adoption are only
+     reachable here.  Like every loop on the pop path, it is a
+     top-level function, so an empty scan allocates no closure. *)
+  let rec steal_from t ~home i =
+    if i >= Array.length t.shards then `Empty
+    else
+      let victim = (home + i) mod Array.length t.shards in
+      match P.pop t.shards.(victim) ~side:`Right with
+      | `Value v ->
+          Atomic.incr t.s_stolen;
+          Atomic.incr t.s_popped.(victim);
+          if t.steal_batch > 1 then
+            ignore (rebalance t ~home ~victim ~budget:(t.steal_batch - 1));
+          `Value v
+      | `Empty | `Timeout -> steal_from t ~home (i + 1)
+
+  let try_steal t ~home = steal_from t ~home 1
+
+  (* One routed attempt: home shard, steal scan, then the limbo stash
+     (items parked there when every shard was full), credited to the
+     server's home. *)
+  let attempt t ~home ~side =
+    match P.pop t.shards.(home) ~side with
+    | `Value v ->
+        Atomic.incr t.s_popped.(home);
+        `Value v
+    | `Timeout -> `Timeout
+    | `Empty -> (
+        match try_steal t ~home with
+        | `Value _ as hit -> hit
+        | `Empty -> (
+            match limbo_take t with
+            | Some v ->
+                Atomic.incr t.s_popped.(home);
+                `Value v
+            | None -> `Empty))
+
+  (* The deadline budgets the whole routed operation (home + steal
+     scan), retried with backoff until something turns up; [t0] and
+     [budget] are ns on {!Dcas.Clock}, the clock {!Policy} times its
+     own deadlines on.  Budget exhaustion with only no-finds surfaces
+     as [`Empty], not [`Timeout]: every attempt walked all shards and
+     the limbo stash, so the no-find is certified — and consumers'
+     quiescence certificates (full no-find scans) must keep flowing
+     even when every pop carries a deadline, or a stranded pending
+     unit could never be reconciled. *)
+  let rec attempt_until t ~home ~side ~t0 ~budget backoff =
+    match attempt t ~home ~side with
+    | `Value v -> `Value v
+    | `Timeout -> `Timeout
+    | `Empty ->
+        if Dcas.Clock.now_ns () - t0 >= budget then `Empty
+        else
+          attempt_until t ~home ~side ~t0 ~budget
+            (Dcas.Backoff.once_lazy backoff)
 
   let pop ?deadline ?(urgent = false) t ~key : 'a Policy.pop_outcome =
     let side = side_of ~urgent in
     let home = route t ~key in
-    let attempt () =
-      match P.pop t.shards.(home) ~side with
-      | `Value v ->
-          Atomic.incr t.s_popped.(home);
-          `Value v
-      | `Empty -> (
-          match try_steal t ~home with
-          | `Value _ as hit -> hit
-          | `Empty -> (
-              (* last resort: the limbo stash (items parked there when
-                 every shard was full), credited to the server's home *)
-              match limbo_take t with
-              | Some v ->
-                  Atomic.incr t.s_popped.(home);
-                  `Value v
-              | None -> `Empty))
-      | `Timeout -> `Timeout
-    in
     match deadline with
-    | None -> (attempt () :> 'a Policy.pop_outcome)
+    | None -> attempt t ~home ~side
     | Some budget ->
-        (* the deadline budgets the whole routed operation (home +
-           steal scan), retried with backoff until something turns up.
-           Budget exhaustion with only no-finds surfaces as [`Empty],
-           not [`Timeout]: every attempt walked all shards and the
-           limbo stash, so the no-find is certified — and consumers'
-           quiescence certificates (full no-find scans) must keep
-           flowing even when every pop carries a deadline, or a
-           stranded pending unit could never be reconciled. *)
-        let t0 = Unix.gettimeofday () in
-        let rec go backoff =
-          match attempt () with
-          | `Value v -> `Value v
-          | `Timeout -> `Timeout
-          | `Empty ->
-              if Unix.gettimeofday () -. t0 >= budget then `Empty
-              else go (Dcas.Backoff.once_lazy backoff)
-        in
-        go None
+        attempt_until t ~home ~side ~t0:(Dcas.Clock.now_ns ())
+          ~budget:(Dcas.Clock.of_seconds budget) None
 
   (* --- quarantine / adoption --- *)
 

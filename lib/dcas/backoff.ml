@@ -44,22 +44,20 @@ let next_rand t =
    all-ones mask covering n-1.  A plain [next_rand t mod n] is biased
    toward small residues whenever n does not divide the generator's
    range, and collapses to a constant for n = 1 without even advancing
-   the generator. *)
+   the generator.  Both loops are top-level functions, so a draw
+   allocates nothing and a retry loop's backoff costs no words per
+   attempt. *)
+let rec widen n m = if m >= n - 1 then m else widen n ((m lsl 1) lor 1)
+
+let rec draw t n mask =
+  let r = next_rand t land mask in
+  if r < n then r else draw t n mask
+
 let uniform t n =
   if n <= 1 then (
     ignore (next_rand t);
     0)
-  else begin
-    let mask =
-      let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
-      widen 1
-    in
-    let rec draw () =
-      let r = next_rand t land mask in
-      if r < n then r else draw ()
-    in
-    draw ()
-  end
+  else draw t n (widen n 1)
 
 let once t =
   let spins = t.min_wait + uniform t t.wait in

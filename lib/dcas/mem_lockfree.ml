@@ -39,7 +39,17 @@
      deques rely on GC to reclaim list nodes (Section 1.1).
 
    Entries are acquired in ascending location-id order, which bounds
-   helping chains and yields lock-freedom by the standard argument. *)
+   helping chains and yields lock-freedom by the standard argument.
+
+   A no-op DCAS — one that writes back the two values it expects, the
+   paper's empty/full confirmation (Figures 2/3 lines 6-11, Figure 11
+   lines 8-12) — needs no descriptor when both locations hold plain
+   [Value] blocks: read [l1]'s block, read [l2]'s block, and re-read
+   [l1]'s block.  By the first property above, a block that is current
+   at both reads of [l1] means [l1]'s logical value never changed in
+   between, so both values were present together at the [l2] read,
+   which is where the confirmation linearizes.  An [Owned] state, a
+   mismatch or a moved block falls through to the descriptor path. *)
 
 type status = Undecided | Failed | Succeeded
 
@@ -79,9 +89,10 @@ let stats () = Opstats.snapshot counters
 let reset_stats () = Opstats.reset counters
 
 (* Ablation switch (experiment E21, tests): with dcas2 disabled, every
-   slow path builds the generic entry-array descriptor and no release
-   is elided — the substrate as it was before specialization.  Not
-   meant to be toggled while operations are in flight. *)
+   slow path builds the generic entry-array descriptor, no release is
+   elided and no no-op DCAS skips its descriptor — the substrate as it
+   was before specialization.  Not meant to be toggled while operations
+   are in flight. *)
 let dcas2_enabled = Atomic.make true
 let set_dcas2_enabled b = Atomic.set dcas2_enabled b
 
@@ -431,10 +442,31 @@ let make_dcas2 l1 l2 o1 o2 n1 n2 =
         after_b = n1;
       }
 
+(* The descriptor-free no-op DCAS (see the header): [true] certifies
+   that [l1] held [o1] and [l2] held [o2] at once, at the read of [l2].
+   [false] proves nothing; the caller falls back to the descriptor
+   path. *)
+let confirmed (type a b) (l1 : a loc) (l2 : b loc) (o1 : a) (o2 : b) =
+  match Atomic.get l1.state with
+  | Value v1 as s1 when l1.equal v1 o1 -> (
+      match Atomic.get l2.state with
+      | Value v2 when l2.equal v2 o2 -> Atomic.get l1.state == s1
+      | Value _ | Owned _ -> false)
+  | Value _ | Owned _ -> false
+
 let dcas l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_lockfree.dcas: locations must differ";
   Opstats.incr_attempt counters;
-  if doomed l1 o1 || doomed l2 o2 then begin
+  if
+    n1 == o1 && n2 == o2
+    && Atomic.get dcas2_enabled
+    && confirmed l1 l2 o1 o2
+  then begin
+    Opstats.incr_dcas2 counters;
+    Opstats.incr_success counters;
+    true
+  end
+  else if doomed l1 o1 || doomed l2 o2 then begin
     Opstats.incr_fastfail counters;
     false
   end

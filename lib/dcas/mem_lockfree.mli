@@ -17,9 +17,10 @@ include Memory_intf.MEMORY_CASN
 
 val set_dcas2_enabled : bool -> unit
 (** Ablation switch (default [true]): with [false], every DCAS/CASN
-    slow path builds the generic entry-array descriptor and no release
-    is value-elided — the substrate before the flat [Dcas2]
-    specialization.  For experiment E21 and tests; do not toggle while
+    slow path builds the generic entry-array descriptor, no release is
+    value-elided and a no-op DCAS always builds a descriptor — the
+    substrate before the flat [Dcas2] specialization and the
+    descriptor-free confirmation.  For experiment E21 and tests; do not toggle while
     operations are in flight. *)
 
 (** {2 Fail-stop crash bookkeeping}

@@ -14,7 +14,12 @@
      immediately after installing its own CASN descriptor and before
      the status is decided — the worst reachable crash point, with a
      live undecided descriptor in shared memory that survivors must
-     help to completion ({!Memory_intf.stats.helped_orphans}).
+     help to completion ({!Memory_intf.stats.helped_orphans}).  Only
+     an operation that can publish a descriptor hosts this death: a
+     no-op DCAS (new values physically equal to the expected ones,
+     the deques' empty/full confirmation) usually confirms from plain
+     reads with no descriptor, so a pending mid-CASN kill waits past
+     it for a DCAS that writes.
 
    Eligibility mirrors the freezer: only enrolled domains (a dense
    worker [tid], set per-domain) can die, so supervisors, monitors and
@@ -253,7 +258,8 @@ module Mem_crashing_casn (M : Dcas.Memory_intf.MEMORY_CASN) :
   let set_private = M.set_private
 
   let dcas l1 l2 o1 o2 n1 n2 =
-    point ~casn:true;
+    (* a no-op DCAS confirms from plain reads and may publish nothing *)
+    point ~casn:(not (n1 == o1 && n2 == o2));
     let r = M.dcas l1 l2 o1 o2 n1 n2 in
     boundary ();
     r

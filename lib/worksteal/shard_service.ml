@@ -203,12 +203,16 @@ module Make (D : Deque.Deque_intf.S) = struct
       late_ns_w;
     }
 
-  (* What travels through the deques: the value plus its deadline
-     stamp.  [expiry] is absolute ([infinity] without a deadline) so a
-     consumer can shed an expired item with one clock read; [home] is
-     the key's home shard, so the sojourn lands on the shard admission
-     control will consult for the next request on that key. *)
-  type item = { v : int; enq : float; expiry : float; home : int }
+  (* What travels through the deques: the value plus its stamps.
+     Clock: [enq] and [expiry] are ns on {!Dcas.Clock}, the monotonic
+     integer clock that [Policy] and [Sharded] time their deadlines on,
+     so a wall-clock step can neither expire nor immortalize a queued
+     request, and a stamp is an unboxed field.  [expiry] is absolute
+     ([max_int] without a deadline) so a consumer can shed an expired
+     item with one clock read; [home] is the key's home shard, so the
+     sojourn lands on the shard admission control will consult for the
+     next request on that key. *)
+  type item = { v : int; enq : int; expiry : int; home : int }
 
   type state = {
     service : item S.t;
@@ -218,6 +222,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     producers_running : int Atomic.t;
     drained : bool Atomic.t;  (* consumers may exit: stop + pending=0 *)
     wd : Harness.Watchdog.t option;
+    budget_ns : int;  (* [cfg.deadline] in ns; [max_int] without one *)
   }
 
   (* Consumers are pinned to a home shard round-robin by slot: their
@@ -265,7 +270,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     in
     Atomic.set w.busy true;
     Atomic.incr ws.spawned_w;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dcas.Clock.now_ns () in
     let admitted =
       match cfg.deadline with
       | Some budget when cfg.admission ->
@@ -280,7 +285,7 @@ module Make (D : Deque.Deque_intf.S) = struct
       end
       else
         let expiry =
-          match cfg.deadline with None -> infinity | Some b -> t0 +. b
+          if st.budget_ns >= max_int - t0 then max_int else t0 + st.budget_ns
         in
         let item =
           { v = value; enq = t0; expiry; home = S.shard_of st.service ~key }
@@ -301,7 +306,7 @@ module Make (D : Deque.Deque_intf.S) = struct
             Atomic.incr ws.timeout_w;
             `Timeout
     in
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+    let ns = float (Dcas.Clock.now_ns () - t0) in
     Atomic.set w.busy false;
     on_push ~tid:w.slot ~ns out;
     tick_wd st ~tid:w.slot
@@ -311,7 +316,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     let rng =
       Harness.Splitmix.create ~seed:(cfg.seed + (w.slot * 7919) + 1)
     in
-    let t_start = Unix.gettimeofday () in
+    let t_start = Dcas.Clock.now_ns () in
     let sent = ref 0 in
     while not (Atomic.get st.stop) && not (Atomic.get w.fenced) do
       Atomic.incr w.ticks;
@@ -330,7 +335,8 @@ module Make (D : Deque.Deque_intf.S) = struct
         (* open loop: the token bucket owes [rate * elapsed] arrivals
            regardless of completions; release them in bursts *)
         let owed =
-          int_of_float ((Unix.gettimeofday () -. t_start) *. cfg.rate)
+          int_of_float
+            (float (Dcas.Clock.now_ns () - t_start) *. 1e-9 *. cfg.rate)
           - !sent
         in
         if owed >= 1 then
@@ -373,7 +379,7 @@ module Make (D : Deque.Deque_intf.S) = struct
       else begin
         Atomic.incr w.ticks;
         Atomic.set w.busy true;
-        let t0 = Unix.gettimeofday () in
+        let t0 = Dcas.Clock.now_ns () in
         (* urgent-side pops: left end first = urgent entries, then the
            oldest bulk — FIFO service with priority jumping.  A pop that
            comes back `Empty has scanned every shard (Sharded's steal
@@ -389,15 +395,15 @@ module Make (D : Deque.Deque_intf.S) = struct
           if Atomic.get st.stop then None else cfg.deadline
         in
         let out = S.pop ?deadline ~urgent:true st.service ~key in
-        let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+        let now = Dcas.Clock.now_ns () in
+        let ns = float (now - t0) in
         let out' =
           match out with
           | `Value it ->
-              let now = Unix.gettimeofday () in
               (* the sojourn estimate must see the whole tail, shed
                  requests included — they ARE the tail *)
               S.note_sojourn st.service ~shard:it.home
-                ~ns:((now -. it.enq) *. 1e9);
+                ~ns:(float (now - it.enq));
               if now >= it.expiry then begin
                 (* expired in queue: shed at dequeue — the op resolves
                    as a first-class timeout, its unit stays spawned *)
@@ -410,9 +416,7 @@ module Make (D : Deque.Deque_intf.S) = struct
                 (* overshoot is judged at completion, on a fresh clock
                    read: the gap between the expiry check above and
                    here is exactly the scheduling epsilon E25 allows *)
-                let late_ns =
-                  int_of_float ((Unix.gettimeofday () -. it.expiry) *. 1e9)
-                in
+                let late_ns = Dcas.Clock.now_ns () - it.expiry in
                 if late_ns > Atomic.get ws.late_ns_w then
                   Atomic.set ws.late_ns_w late_ns;
                 `Value it.v
@@ -533,6 +537,10 @@ module Make (D : Deque.Deque_intf.S) = struct
         producers_running = Dcas.Padding.make_atomic config.producers;
         drained = Dcas.Padding.make_atomic false;
         wd = watchdog;
+        budget_ns =
+          (match config.deadline with
+          | None -> max_int
+          | Some b -> Dcas.Clock.of_seconds b);
       }
     in
     let wss =
@@ -540,7 +548,7 @@ module Make (D : Deque.Deque_intf.S) = struct
           make_wstate config ~slot)
     in
     Option.iter Harness.Watchdog.start watchdog;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dcas.Clock.now_ns () in
     let m =
       Supervisor.monitor config.sup ~pending:st.base
         ~executed:(fun ws -> ws.executed_w)
@@ -564,7 +572,7 @@ module Make (D : Deque.Deque_intf.S) = struct
     List.iter Domain.join initial;
     let t = Domain.join sup in
     Option.iter (fun w -> ignore (Harness.Watchdog.stop w)) watchdog;
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = float (Dcas.Clock.now_ns () - t0) *. 1e-9 in
     (* survivors must decide every descriptor a dead domain left
        undecided before the quiescent drain reads past them *)
     let orphans_helped = Dcas.Mem_lockfree.help_orphans () in

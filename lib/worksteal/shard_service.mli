@@ -51,8 +51,8 @@ type config = {
   key_space : int;  (** routing keys drawn uniformly from [0,key_space) *)
   deadline : float option;
       (** per-request budget, seconds: bounds the push call, stamps
-          the item with an absolute expiry, and sheds it at dequeue
-          once exceeded *)
+          the item with an absolute expiry on the monotonic
+          {!Dcas.Clock}, and sheds it at dequeue once exceeded *)
   admission : bool;
       (** refuse requests at enqueue when the home shard's observed
           p99 sojourn already exceeds [deadline]
@@ -127,8 +127,8 @@ module Make (D : Deque.Deque_intf.S) : sig
     report
   (** Run the service for [duration] seconds of injection (values are
       ints: each producer pushes its own send counter).  [on_push] /
-      [on_pop] observe every operation with its wall-clock latency in
-      nanoseconds — E24's histogram feed; they run on the worker
+      [on_pop] observe every operation with its latency in nanoseconds
+      on the monotonic {!Dcas.Clock} — E24's histogram feed; they run on the worker
       domains, so they must be thread-safe and cheap.  [driver], when
       given, runs on the calling domain {e while traffic flows} and
       replaces the default [sleepf duration] — E24 uses it to fire

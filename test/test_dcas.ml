@@ -750,6 +750,164 @@ let alloc_ceiling_tests =
           true (w <= 25.));
   ]
 
+(* --- the descriptor-free no-op DCAS --- *)
+
+(* A DCAS that writes back the values it expects (the deques'
+   empty/full confirmation) succeeds from three reads when both
+   locations hold plain values: no descriptor, no [Owned] block, no CAS.
+   These tests pin its cost, its counters and its atomicity. *)
+let noop_confirm_tests =
+  let module M = Dcas.Mem_lockfree in
+  [
+    Alcotest.test_case "no-op dcas: counted without a descriptor" `Quick
+      (fun () ->
+        with_dcas2 true (fun () ->
+            let a = M.make 3 and b = M.make 4 in
+            M.reset_stats ();
+            Alcotest.(check bool) "confirms" true (M.dcas a b 3 4 3 4);
+            let s = M.stats () in
+            Alcotest.(check int) "one attempt" 1 s.dcas_attempts;
+            Alcotest.(check int) "one success" 1 s.dcas_successes;
+            Alcotest.(check int) "one dcas2 hit" 1 s.dcas2_hits;
+            Alcotest.(check int) "no descriptor" 0 s.descriptor_allocs;
+            Alcotest.(check int) "no value block" 0 s.value_allocs;
+            Alcotest.(check int) "no fast-fail" 0 s.dcas_fastfails;
+            (* a stale no-op still fails, by the pre-validation path *)
+            Alcotest.(check bool) "stale rejects" false (M.dcas a b 9 4 9 4);
+            Alcotest.(check int) "fast-failed" 1 (M.stats ()).dcas_fastfails));
+    Alcotest.test_case "no-op dcas: allocation-free" `Quick (fun () ->
+        with_dcas2 true (fun () ->
+            let a = M.make 3 and b = M.make 4 in
+            ignore (M.dcas a b 3 4 3 4);
+            (* as for the fast-fail: the delta must not grow with the
+               iteration count *)
+            let delta n =
+              let before = Gc.minor_words () in
+              for _ = 1 to n do
+                ignore (M.dcas a b 3 4 3 4)
+              done;
+              Gc.minor_words () -. before
+            in
+            let d_small = delta 10 in
+            let d_large = delta 10_000 in
+            Alcotest.(check (float 0.)) "delta independent of iterations"
+              d_small d_large));
+    Alcotest.test_case "no-op dcas: the generic ablation keeps descriptors"
+      `Quick (fun () ->
+        with_dcas2 false (fun () ->
+            let a = M.make 3 and b = M.make 4 in
+            M.reset_stats ();
+            Alcotest.(check bool) "confirms" true (M.dcas a b 3 4 3 4);
+            let s = M.stats () in
+            Alcotest.(check int) "no dcas2 hit" 0 s.dcas2_hits;
+            Alcotest.(check int) "one descriptor" 1 s.descriptor_allocs));
+    Alcotest.test_case "no-op dcas: a change between its reads is caught"
+      `Quick (fun () ->
+        (* A location's [equal] runs between the confirmation's reads,
+           so a one-shot hook there plays a writer at exactly that
+           point.  The writer keeps a = b: after the read of a it moves
+           both 0 -> 1, so b reads 1 and the pair (0, 1) is torn; after
+           the read of b it moves them on to 2 and back to 0, so a holds
+           its first value again in a fresh block (ABA).  Only the
+           block identity check rejects. *)
+        with_dcas2 true (fun () ->
+            let hook_a = ref ignore and hook_b = ref ignore in
+            let eq hook x y =
+              let f = !hook in
+              hook := ignore;
+              f ();
+              x = y
+            in
+            let a = M.make ~equal:(eq hook_a) 0
+            and b = M.make ~equal:(eq hook_b) 0 in
+            let steps = ref 0 in
+            let step v v' =
+              incr steps;
+              Alcotest.(check bool) "writer step" true (M.dcas a b v v v' v')
+            in
+            (hook_a :=
+               fun () ->
+                 step 0 1;
+                 hook_b :=
+                   fun () ->
+                     step 1 2;
+                     step 2 0);
+            Alcotest.(check bool) "torn pair rejected" false
+              (M.dcas a b 0 1 0 1);
+            Alcotest.(check int) "every writer step ran" 3 !steps;
+            Alcotest.(check (pair int int)) "a = b" (0, 0) (M.get a, M.get b)));
+    Alcotest.test_case "no-op dcas: an owned location takes the descriptor"
+      `Quick (fun () ->
+        (* the publish hook runs once the writer's descriptor owns its
+           first location; a confirmation issued there must not read
+           past the [Owned] block, and falls back to a descriptor that
+           helps the writer through *)
+        with_dcas2 true (fun () ->
+            let a = M.make 0 and b = M.make 0 in
+            let inner = ref None in
+            M.set_publish_hook (fun () ->
+                if !inner = None then begin
+                  inner := Some false;
+                  inner := Some (M.dcas a b 0 0 0 0)
+                end);
+            M.reset_stats ();
+            let ok =
+              Fun.protect ~finally:M.clear_publish_hook (fun () ->
+                  M.dcas a b 0 0 1 1)
+            in
+            Alcotest.(check bool) "writer succeeds" true ok;
+            Alcotest.(check (option bool)) "confirmation of the old pair"
+              (Some false) !inner;
+            Alcotest.(check int) "two descriptors" 2
+              (M.stats ()).descriptor_allocs;
+            Alcotest.(check (pair int int)) "written" (1, 1)
+              (M.get a, M.get b)));
+    Alcotest.test_case "no-op dcas: never certifies a torn snapshot" `Quick
+      (fun () ->
+        (* the writer keeps a = b, cycling the values mod 3 so that each
+           recurs (ABA); the checker reads a and b separately and asks a
+           no-op DCAS to confirm the pair.  Confirming a torn pair
+           (va <> vb) would certify a state that never existed. *)
+        with_dcas2 true (fun () ->
+            let a = M.make 0 and b = M.make 0 in
+            let stop = Atomic.make false in
+            let writer =
+              Domain.spawn (fun () ->
+                  while not (Atomic.get stop) do
+                    let v = M.get a in
+                    let v' = (v + 1) mod 3 in
+                    ignore (M.dcas a b v v v' v')
+                  done)
+            in
+            let torn = ref 0 and confirmed = ref 0 and rejected = ref 0 in
+            Fun.protect
+              ~finally:(fun () ->
+                Atomic.set stop true;
+                Domain.join writer)
+              (fun () ->
+                let t_end = Unix.gettimeofday () +. 5. in
+                let i = ref 0 in
+                while
+                  (!i < 200_000 || !confirmed = 0 || !rejected = 0)
+                  && Unix.gettimeofday () < t_end
+                do
+                  incr i;
+                  let va = M.get a in
+                  let vb = M.get b in
+                  if M.dcas a b va vb va vb then begin
+                    incr confirmed;
+                    if va <> vb then incr torn
+                  end
+                  else incr rejected
+                done);
+            Alcotest.(check int) "torn pairs confirmed" 0 !torn;
+            Alcotest.(check bool)
+              (Printf.sprintf "%d confirmed, %d rejected: both > 0" !confirmed
+                 !rejected)
+              true
+              (!confirmed > 0 && !rejected > 0)));
+  ]
+
 (* --- substrate odds and ends --- *)
 
 let misc_tests =
@@ -819,5 +977,6 @@ let () =
       ("opstats", opstats_tests);
       ("counter-exactness", counter_exactness_tests);
       ("alloc-ceiling", alloc_ceiling_tests);
+      ("noop-confirm", noop_confirm_tests);
       ("substrate", misc_tests);
     ]
