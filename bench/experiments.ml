@@ -1365,10 +1365,11 @@ let e21 ~quick =
       ]
     alloc_rows;
   note
-    "uncontended successful DCAS on two int locations; 'confirm' is the\n\
-     no-op shape of the deques' boundary checks, which dcas2 certifies\n\
-     from three plain reads (no descriptor: 0 words) and generic builds\n\
-     a full descriptor for";
+    "uncontended successful DCAS on two int locations; a dcas2 'write'\n\
+     holds each location with a 2-word tag, generic with a 5-word Owned\n\
+     block; 'confirm' is the no-op shape of the deques' boundary checks,\n\
+     which dcas2 certifies from three plain reads (no descriptor: 0\n\
+     words) and generic builds a full descriptor for";
   (* --- Section B: symmetric batch traffic over one array deque,
      2 domains, batch sizes 1/4/16 on both substrate paths.  Each
      domain pushes a k-batch onto its end and pops a k-batch off the

@@ -52,8 +52,8 @@ module Make (M : Dcas.Memory_intf.MEMORY) : ALGORITHM = struct
   let make ~length () =
     if length < 1 then invalid_arg "Greenwald_v2.make: length must be >= 1";
     {
-      l = M.make 0;
-      r = M.make (1 %% length);
+      l = M.make ~equal:Int.equal 0;
+      r = M.make ~equal:Int.equal (1 %% length);
       s = Array.init length (fun _ -> M.make ~equal:cell_equal Null);
       length;
     }

@@ -56,9 +56,11 @@ module Make (M : Dcas.Memory_intf.MEMORY) = struct
       (* The two end indices are the deque's permanent hot spots — every
          operation on a side reads and DCASes its index — and they are
          allocated back to back, so unpadded they share one cache line
-         and the "independent ends" of E5 ping-pong it anyway. *)
-      l = M.make_padded 0;
-      r = M.make_padded (1 %% length);
+         and the "independent ends" of E5 ping-pong it anyway.  They
+         compare as [int]s: the default polymorphic equality would cost
+         a C call on every DCAS that validates them. *)
+      l = M.make_padded ~equal:Int.equal 0;
+      r = M.make_padded ~equal:Int.equal (1 %% length);
       s = Array.init length (fun _ -> M.make ~equal:cell_equal Null);
       length;
       hints;

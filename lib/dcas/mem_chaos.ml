@@ -142,14 +142,14 @@ module Make (M : Memory_intf.MEMORY_CASN) = struct
     else begin
       let rng = rng_for c in
       if draw rng c.delay_ppm then begin
-        Opstats.incr_delay counters;
+        Opstats.incr_delay (Opstats.bucket counters);
         let spins = 1 + Splitmix.int rng ~bound:c.max_delay in
         for _ = 1 to spins do
           Domain.cpu_relax ()
         done
       end;
       if draw rng c.freeze_ppm then begin
-        Opstats.incr_freeze counters;
+        Opstats.incr_freeze (Opstats.bucket counters);
         for _ = 1 to c.freeze_spins do
           Domain.cpu_relax ()
         done
@@ -180,8 +180,9 @@ module Make (M : Memory_intf.MEMORY_CASN) = struct
   let dcas l1 l2 o1 o2 n1 n2 =
     let t = turbulence () in
     if spurious_failure t then begin
-      Opstats.incr_attempt counters;
-      Opstats.incr_spurious counters;
+      let b = Opstats.bucket counters in
+      Opstats.incr_attempt b;
+      Opstats.incr_spurious b;
       false
     end
     else M.dcas l1 l2 o1 o2 n1 n2
@@ -197,8 +198,9 @@ module Make (M : Memory_intf.MEMORY_CASN) = struct
   let casn cs =
     let t = turbulence () in
     if spurious_failure t then begin
-      Opstats.incr_attempt counters;
-      Opstats.incr_spurious counters;
+      let b = Opstats.bucket counters in
+      Opstats.incr_attempt b;
+      Opstats.incr_spurious b;
       false
     end
     else M.casn (List.map (fun (Cass (l, o, n)) -> M.Cass (l, o, n)) cs)

@@ -18,14 +18,14 @@ let make ?(equal = ( = )) v = { id = Id.next (); content = v; equal }
 let make_padded ?equal v = Padding.copy_as_padded (make ?equal v)
 
 let get loc =
-  Opstats.incr_read counters;
+  Opstats.incr_read (Opstats.bucket counters);
   Mutex.lock mutex;
   let v = loc.content in
   Mutex.unlock mutex;
   v
 
 let set loc v =
-  Opstats.incr_write counters;
+  Opstats.incr_write (Opstats.bucket counters);
   Mutex.lock mutex;
   loc.content <- v;
   Mutex.unlock mutex
@@ -34,7 +34,7 @@ let set_private loc v = loc.content <- v
 
 let dcas_strong l1 l2 o1 o2 n1 n2 =
   if l1.id = l2.id then invalid_arg "Mem_lock.dcas: locations must differ";
-  Opstats.incr_attempt counters;
+  Opstats.incr_attempt (Opstats.bucket counters);
   Mutex.lock mutex;
   let v1 = l1.content and v2 = l2.content in
   let ok = l1.equal v1 o1 && l2.equal v2 o2 in
@@ -43,7 +43,7 @@ let dcas_strong l1 l2 o1 o2 n1 n2 =
     l2.content <- n2
   end;
   Mutex.unlock mutex;
-  if ok then Opstats.incr_success counters;
+  if ok then Opstats.incr_success (Opstats.bucket counters);
   (ok, v1, v2)
 
 let dcas l1 l2 o1 o2 n1 n2 =
@@ -56,10 +56,10 @@ let casn cs =
   let ids = List.map (fun (Cass (l, _, _)) -> l.id) cs in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Mem_lock.casn: locations must differ";
-  Opstats.incr_attempt counters;
+  Opstats.incr_attempt (Opstats.bucket counters);
   Mutex.lock mutex;
   let ok = List.for_all (fun (Cass (l, o, _)) -> l.equal l.content o) cs in
   if ok then List.iter (fun (Cass (l, _, n)) -> l.content <- n) cs;
   Mutex.unlock mutex;
-  if ok then Opstats.incr_success counters;
+  if ok then Opstats.incr_success (Opstats.bucket counters);
   ok

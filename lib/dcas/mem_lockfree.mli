@@ -3,11 +3,19 @@
     emulation [8, 30]").
 
     This is the production memory model: all operations are lock-free.
-    Reads never help; they resolve an owning descriptor's status
+    Reads never help; they resolve a holding descriptor's status
     in-place.  Writers and DCAS operations help any undecided descriptor
     they encounter, so a preempted operation can never block others.
     Descriptor reclamation relies on the garbage collector, mirroring
-    the paper's reliance on GC for list nodes. *)
+    the paper's reliance on GC for list nodes.
+
+    A two-location DCAS runs a flat descriptor that holds each location
+    with a 2-word tag and whose release always installs a fresh value
+    block, so a block it displaced is never current again; the generic
+    N-location CASN holds locations with [Owned] blocks and reinstalls
+    a displaced block when the value comes out unchanged (value
+    elision).  A no-op DCAS over plain values needs no descriptor.
+    Each call counts through one {!Opstats} bucket lookup. *)
 
 include Memory_intf.MEMORY_CASN
 (** [casn entries] atomically compares-and-swaps every entry with
@@ -20,8 +28,8 @@ val set_dcas2_enabled : bool -> unit
     slow path builds the generic entry-array descriptor, no release is
     value-elided and a no-op DCAS always builds a descriptor — the
     substrate before the flat [Dcas2] specialization and the
-    descriptor-free confirmation.  For experiment E21 and tests; do not toggle while
-    operations are in flight. *)
+    descriptor-free confirmation.  For experiment E21 and tests; do
+    not toggle while operations are in flight. *)
 
 (** {2 Fail-stop crash bookkeeping}
 

@@ -14,7 +14,14 @@
    Reading another domain's bucket is a data race, which OCaml keeps
    memory-safe: a concurrent [snapshot] sees every count as of some
    recent moment, and an exact one once the writers have joined
-   ([Domain.join] orders their writes before the join returns). *)
+   ([Domain.join] orders their writes before the join returns).
+
+   A caller that counts several events in one operation fetches its
+   bucket once ([bucket]) and passes it along: each [Domain.DLS.get] is
+   a lookup of its own, and an uncontended DCAS counts up to eight
+   events.  The bucket also caches its domain's id (in the last word of
+   the leading pad), so code that already holds one needs no
+   [Domain.self]. *)
 
 (* Counter indices, after the leading pad: 0 = reads, 1 = writes,
    2 = dcas attempts, 3 = dcas successes, 4 = dcas fast-fails,
@@ -29,11 +36,15 @@
 let pad = Padding.cache_line_words
 let fields = Memory_intf.stats_fields
 
+type bucket = int array
+
 type t = {
   mutex : Mutex.t;
-  mutable buckets : int array list;
-  key : int array Domain.DLS.key;
+  mutable buckets : bucket list;
+  key : bucket Domain.DLS.key;
 }
+
+let id_slot = pad - 1
 
 let create () =
   let rec t =
@@ -44,6 +55,7 @@ let create () =
         key =
           Domain.DLS.new_key (fun () ->
               let b = Array.make (pad + fields + pad) 0 in
+              b.(id_slot) <- (Domain.self () :> int);
               let t = Lazy.force t in
               Mutex.lock t.mutex;
               t.buckets <- b :: t.buckets;
@@ -53,22 +65,21 @@ let create () =
   in
   Lazy.force t
 
-let incr t i =
-  let b = Domain.DLS.get t.key in
-  b.(pad + i) <- b.(pad + i) + 1
-
-let incr_read t = incr t 0
-let incr_write t = incr t 1
-let incr_attempt t = incr t 2
-let incr_success t = incr t 3
-let incr_fastfail t = incr t 4
-let incr_spurious t = incr t 5
-let incr_delay t = incr t 6
-let incr_freeze t = incr t 7
-let incr_dcas2 t = incr t 8
-let incr_desc_alloc t = incr t 9
-let incr_value_alloc t = incr t 10
-let incr_orphan t = incr t 11
+let bucket t = Domain.DLS.get t.key
+let domain_id (b : bucket) = b.(id_slot)
+let incr (b : bucket) i = b.(pad + i) <- b.(pad + i) + 1
+let incr_read b = incr b 0
+let incr_write b = incr b 1
+let incr_attempt b = incr b 2
+let incr_success b = incr b 3
+let incr_fastfail b = incr b 4
+let incr_spurious b = incr b 5
+let incr_delay b = incr b 6
+let incr_freeze b = incr b 7
+let incr_dcas2 b = incr b 8
+let incr_desc_alloc b = incr b 9
+let incr_value_alloc b = incr b 10
+let incr_orphan b = incr b 11
 
 let buckets t =
   Mutex.lock t.mutex;

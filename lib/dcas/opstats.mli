@@ -10,36 +10,48 @@ type t
 val create : unit -> t
 (** A fresh, independent set of counters (one per memory model). *)
 
-val incr_read : t -> unit
-val incr_write : t -> unit
-val incr_attempt : t -> unit
-val incr_success : t -> unit
+type bucket
+(** One domain's counters in a {!t}. *)
 
-val incr_fastfail : t -> unit
+val bucket : t -> bucket
+(** The calling domain's bucket, registered on first use: one
+    domain-local lookup.  Fetch it once per operation and pass it to
+    every count the operation makes.  Use it only on the domain that
+    fetched it. *)
+
+val domain_id : bucket -> int
+(** [(Domain.self () :> int)] of the domain that owns the bucket. *)
+
+val incr_read : bucket -> unit
+val incr_write : bucket -> unit
+val incr_attempt : bucket -> unit
+val incr_success : bucket -> unit
+
+val incr_fastfail : bucket -> unit
 (** Count a DCAS/CASN attempt rejected by pre-validation (see
     {!Memory_intf.stats.dcas_fastfails}). *)
 
-val incr_spurious : t -> unit
+val incr_spurious : bucket -> unit
 (** Count an injected spurious DCAS/CASN failure ({!Mem_chaos}). *)
 
-val incr_delay : t -> unit
+val incr_delay : bucket -> unit
 (** Count an injected bounded operation delay ({!Mem_chaos}). *)
 
-val incr_freeze : t -> unit
+val incr_freeze : bucket -> unit
 (** Count an injected long domain stall ({!Mem_chaos}). *)
 
-val incr_dcas2 : t -> unit
+val incr_dcas2 : bucket -> unit
 (** Count a slow path taken through the specialized flat [Dcas2]
     descriptor ({!Mem_lockfree}). *)
 
-val incr_desc_alloc : t -> unit
+val incr_desc_alloc : bucket -> unit
 (** Count a CASN descriptor allocation ({!Mem_lockfree}). *)
 
-val incr_value_alloc : t -> unit
+val incr_value_alloc : bucket -> unit
 (** Count a fresh [Value] state-block allocation ({!Mem_lockfree});
     elided releases do not count. *)
 
-val incr_orphan : t -> unit
+val incr_orphan : bucket -> unit
 (** Count an orphaned descriptor — published by a domain marked dead —
     decided by a surviving helper ({!Mem_lockfree.mark_dead}). *)
 

@@ -27,7 +27,7 @@
      units lost with the dead workers are provably the only thing
      keeping the count above zero. *)
 
-module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
+module Make_direct (D : Worksteal_intf.DIRECT_DEQUE) :
   Worksteal_intf.SCHEDULER = struct
   type pool = {
     deques : task D.t array;
@@ -163,10 +163,10 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
       if Atomic.get w.fenced then ()
       else
         match D.pop ctx.pool.deques.(ctx.worker) with
-        | Some t ->
+        | `Value t ->
             execute ctx t;
             loop ()
-        | None ->
+        | `Empty ->
             if pending ctx.pool = 0 then ()
             else begin
               (match steal_scan ctx with
@@ -334,10 +334,30 @@ module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) :
     }
 end
 
+(* A deque behind the option-returning interface pays a second block
+   per pop here, to rewrap its result. *)
+module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) = Make_direct (struct
+  include D
+
+  let pop d = match D.pop d with Some v -> `Value v | None -> `Empty
+  let steal d = match D.steal d with Some v -> `Value v | None -> `Empty
+end)
+
 (* --- Deque adapters --- *)
 
+(* Each deque is written once, in the direct form the stock schedulers
+   run on; [Optional] derives the option-returning adapter from it. *)
+module Optional (D : Worksteal_intf.DIRECT_DEQUE) :
+  Worksteal_intf.WORKSTEAL_DEQUE = struct
+  include D
+
+  let option_of = function `Value v -> Some v | `Empty -> None
+  let pop d = option_of (D.pop d)
+  let steal d = option_of (D.steal d)
+end
+
 (* The ABP deque implements the restricted interface natively. *)
-module Abp_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
+module Abp_direct = struct
   type 'a t = 'a Baselines.Abp_deque.t
 
   let name = Baselines.Abp_deque.name
@@ -346,15 +366,8 @@ module Abp_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
   let push d v =
     match Baselines.Abp_deque.push_bottom d v with `Okay -> true | `Full -> false
 
-  let pop d =
-    match Baselines.Abp_deque.pop_bottom d with
-    | `Value v -> Some v
-    | `Empty -> None
-
-  let steal d =
-    match Baselines.Abp_deque.steal_retry d with
-    | `Value v -> Some v
-    | `Empty -> None
+  let pop = Baselines.Abp_deque.pop_bottom
+  let steal = Baselines.Abp_deque.steal_retry
 
   (* The ABP deque can only steal one item per CAS; a batch is a
      sequence of single steals (each its own linearization point). *)
@@ -363,16 +376,17 @@ module Abp_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
       if n >= max then List.rev acc
       else
         match steal d with
-        | Some v -> go (n + 1) (v :: acc)
-        | None -> List.rev acc
+        | `Value v -> go (n + 1) (v :: acc)
+        | `Empty -> List.rev acc
     in
     go 0 []
 end
 
+module Abp_adapter = Optional (Abp_direct)
+
 (* Any general deque runs the same role by restriction: the owner uses
    the right end, thieves pop the left end. *)
-module Restrict (D : Deque.Deque_intf.S) : Worksteal_intf.WORKSTEAL_DEQUE =
-struct
+module Restrict_direct (D : Deque.Deque_intf.S) = struct
   type 'a t = 'a D.t
 
   module B = Deque.Deque_intf.Batch (D)
@@ -380,16 +394,17 @@ struct
   let name = D.name
   let create = D.create
   let push d v = match D.push_right d v with `Okay -> true | `Full -> false
-  let pop d = match D.pop_right d with `Value v -> Some v | `Empty -> None
-  let steal d = match D.pop_left d with `Value v -> Some v | `Empty -> None
+  let pop = D.pop_right
+  let steal = D.pop_left
   let steal_batch d ~max = B.pop_many_left d max
 end
 
-module Abp_scheduler = Make (Abp_adapter)
+module Restrict (D : Deque.Deque_intf.S) = Optional (Restrict_direct (D))
+module Abp_scheduler = Make_direct (Abp_direct)
 
 (* The array deque restricts like any deque but steals batches with its
    native atomic [pop_many_left]: one CASN takes the whole batch. *)
-module Array_deque_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
+module Array_deque_direct = struct
   module A = Deque.Array_deque.Lockfree
 
   type 'a t = 'a A.t
@@ -397,18 +412,20 @@ module Array_deque_adapter : Worksteal_intf.WORKSTEAL_DEQUE = struct
   let name = A.name
   let create = A.create
   let push d v = match A.push_right d v with `Okay -> true | `Full -> false
-  let pop d = match A.pop_right d with `Value v -> Some v | `Empty -> None
-  let steal d = match A.pop_left d with `Value v -> Some v | `Empty -> None
+  let pop = A.pop_right
+  let steal = A.pop_left
   let steal_batch d ~max = A.pop_many_left d max
 end
 
-module List_deque_adapter = Restrict (struct
+module Array_deque_adapter = Optional (Array_deque_direct)
+
+module List_deque_direct = Restrict_direct (struct
   include Deque.List_deque.Lockfree
 
   let name = Deque.List_deque.Lockfree.name
 end)
 
-module Lock_deque_adapter = Restrict (struct
+module Lock_deque_direct = Restrict_direct (struct
   include Baselines.Lock_deque
 
   let name = Baselines.Lock_deque.name
@@ -418,13 +435,14 @@ end)
    deque; steal_batch is the generic one-at-a-time fallback (each steal
    its own marking CAS — there is no multi-word primitive to batch
    under). *)
-module St_deque_adapter = Restrict (struct
+module St_deque_direct = Restrict_direct (struct
   include Baselines.St_deque
 
   let name = Baselines.St_deque.name
 end)
 
-module Array_scheduler = Make (Array_deque_adapter)
-module List_scheduler = Make (List_deque_adapter)
-module Lock_scheduler = Make (Lock_deque_adapter)
-module St_scheduler = Make (St_deque_adapter)
+module St_deque_adapter = Optional (St_deque_direct)
+module Array_scheduler = Make_direct (Array_deque_direct)
+module List_scheduler = Make_direct (List_deque_direct)
+module Lock_scheduler = Make_direct (Lock_deque_direct)
+module St_scheduler = Make_direct (St_deque_direct)

@@ -6,9 +6,11 @@
     counters ({!Supervisor.derived}), so no task touches a counter
     shared with another worker.
 
-    {!Make} is generic in the deque, so the restricted CAS-only ABP
-    deque and the paper's general DCAS deques (by restriction) run
-    identical workloads — the comparison of experiment E8.
+    {!Make_direct} is generic in the deque, so the restricted CAS-only
+    ABP deque and the paper's general DCAS deques (by restriction) run
+    identical workloads — the comparison of experiment E8.  Every
+    stock scheduler below runs on the direct form, which passes the
+    deque's own pop result through.
 
     Robustness: task bodies run behind a per-task exception barrier (a
     raising task no longer kills its worker and strands a pending
@@ -17,7 +19,15 @@
     experiment E22; see {!Worksteal_intf.SCHEDULER.run_supervised} and
     {!Supervisor}. *)
 
+module Make_direct (D : Worksteal_intf.DIRECT_DEQUE) :
+  Worksteal_intf.SCHEDULER
+(** The scheduler over a deque whose pops return
+    {!Deque.Deque_intf.pop_result}: an owner pop allocates only what
+    the deque's own pop does. *)
+
 module Make (D : Worksteal_intf.WORKSTEAL_DEQUE) : Worksteal_intf.SCHEDULER
+(** {!Make_direct} over an option-returning deque, whose pop results
+    it rewraps (one extra block per pop). *)
 
 module Abp_adapter : Worksteal_intf.WORKSTEAL_DEQUE
 (** The ABP deque, which implements the restricted interface natively. *)

@@ -29,6 +29,21 @@ module type WORKSTEAL_DEQUE = sig
       is the [max = 1] special case. *)
 end
 
+(* The same shape with the pops returning the deque's own result, as
+   the general deques and the ABP deque already produce it.  The
+   scheduler runs on this form, so an owner pop allocates only the
+   deque's [`Value] block, with no [Some] re-wrap on top. *)
+module type DIRECT_DEQUE = sig
+  type 'a t
+
+  val name : string
+  val create : capacity:int -> unit -> 'a t
+  val push : 'a t -> 'a -> bool
+  val pop : 'a t -> 'a Deque.Deque_intf.pop_result
+  val steal : 'a t -> 'a Deque.Deque_intf.pop_result
+  val steal_batch : 'a t -> max:int -> 'a list
+end
+
 module type SCHEDULER = sig
   type ctx
   (** A worker's execution context, passed to every task. *)

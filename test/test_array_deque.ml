@@ -343,10 +343,10 @@ let qcheck_capacity_one =
        (impl_of (module Deque.Array_deque.Sequential)))
 
 (* The uncontended fast path allocates only what the protocol needs:
-   per DCAS the Dcas2 descriptor, its status, two Owned blocks and the
+   per DCAS the Dcas2 descriptor, its status, two 2-word tags and the
    released Value blocks, plus the [Item] cell, the strong form's result
    triple and the popped [`Value] — no backoff state and no retry-loop
-   closure.  The ceiling is the measured 63 words per pair plus 2. *)
+   closure.  The ceiling is the measured 51 words per pair plus 2. *)
 let test_pair_alloc_ceiling () =
   let module D = Deque.Array_deque.Lockfree in
   let d = D.make ~length:16 () in
@@ -361,8 +361,8 @@ let test_pair_alloc_ceiling () =
         | `Empty -> Alcotest.fail "pop after a push reported empty")
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per push_right + pop_right <= 65" w)
-    true (w <= 65.)
+    (Printf.sprintf "%.2f words per push_right + pop_right <= 53" w)
+    true (w <= 53.)
 
 let () =
   Alcotest.run "array_deque"

@@ -351,6 +351,37 @@ let test_scheduler_zombie_after_healthy () =
   Alcotest.(check int) "nobody replaced" 0 r.replacements;
   Alcotest.(check int) "nothing reconciled" 0 r.reconciled
 
+(* Allocation per task on one worker, where every task is one owner
+   push and one owner pop on an uncontended array deque: each a Dcas2
+   write, plus the task closure and the popped [`Value] block.  The
+   worker runs on its own domain, so the words are read as the
+   [Gc.quick_stat] delta across the run, which counts the joined
+   domain.  The ceiling is the measured 56.2 words plus 2. *)
+let task_words_ceiling = 58.
+
+let test_task_alloc_ceiling () =
+  let module S = Worksteal.Scheduler.Array_scheduler in
+  let tasks = ref 0 in
+  let rec fib n ctx =
+    incr tasks;
+    if n >= 2 then begin
+      S.spawn ctx (fib (n - 1));
+      S.spawn ctx (fib (n - 2))
+    end
+  in
+  let run n = S.run ~workers:1 ~capacity:1024 (fib n) in
+  run 10;
+  tasks := 0;
+  let g0 = Gc.quick_stat () in
+  run 22;
+  let g1 = Gc.quick_stat () in
+  let w = (g1.minor_words -. g0.minor_words) /. float !tasks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per task on one worker <= %.0f" w
+       task_words_ceiling)
+    true
+    (w <= task_words_ceiling)
+
 let () =
   Alcotest.run "worksteal"
     [
@@ -381,5 +412,10 @@ let () =
         [
           Alcotest.test_case "late spawns never end the run early" `Quick
             test_late_spawns;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "array scheduler: words per task" `Quick
+            test_task_alloc_ceiling;
         ] );
     ]
