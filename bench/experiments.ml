@@ -2001,8 +2001,7 @@ let e23 ~quick =
      parked mid-operation at a shared-memory access point"
 
 (* ------------------------------------------------------------------ *)
-(* E24: sharded service soak — SLO-gated latency under live fault      *)
-(* storms                                                              *)
+(* E24/E25: sharded service soaks under live fault storms              *)
 (* ------------------------------------------------------------------ *)
 
 (* The full fault-storm substrate under the sharded service: seeded
@@ -2019,10 +2018,195 @@ module Soak_mem =
 module Soak_service =
   Worksteal.Shard_service.Make (Deque.Array_deque.Make (Soak_mem))
 
+(* recovery-latency quantiles over the per-event list *)
+let lat_q rs p =
+  match List.sort compare rs with
+  | [] -> 0.
+  | sorted ->
+      let n = List.length sorted in
+      let i = Float.to_int (p *. float_of_int (n - 1) +. 0.5) in
+      List.nth sorted (min (n - 1) (max 0 i))
+
+(* One soak cell, the engine E24 and E25 share: run [Soak_service]
+   under [cfg] for [duration] seconds with a {!Harness.Storm} schedule
+   of [windows] as its driver (an empty schedule is a calm cell), then
+   emit one JSON row and return one table row.  Callers place their
+   windows in the middle third of the cell; after the last one the
+   driver settles for min(0.1s, T/3), then runs a calm recovery tail
+   of T/3. *)
+let soak_cell ~id ~(cfg : Worksteal.Shard_service.config) ~duration ~label
+    windows =
+  let finite f = if Float.is_finite f then f else 0. in
+  let slots = cfg.producers + cfg.consumers in
+  Harness.Crash.reset ();
+  Harness.Stall.Freezer.reset ();
+  Harness.Stall.Zombie.reset ();
+  Soak_chaos.disarm ();
+  (* Phase-tagged service-time histograms: per-slot (the observers run
+     on the worker domains), split calm/fault by a flag the storm
+     driver flips while any window is open, successful operations only
+     — the SLO is on served requests, not on consumers' empty scans. *)
+  let fault_phase = Atomic.make false in
+  let mk () =
+    Array.init slots (fun _ ->
+        Fixed_histogram.create ~width_ns:500. ~buckets:65536 ())
+  in
+  let calm_h = mk () and fault_h = mk () in
+  let record ~tid ~ns =
+    let h = if Atomic.get fault_phase then fault_h else calm_h in
+    if tid >= 0 && tid < slots then Fixed_histogram.add h.(tid) ~ns
+  in
+  let on_push ~tid ~ns = function
+    | `Okay -> record ~tid ~ns
+    | `Full | `Timeout -> ()
+  in
+  let on_pop ~tid ~ns = function
+    | `Value _ -> record ~tid ~ns
+    | `Empty | `Timeout -> ()
+  in
+  let third = duration /. 3. in
+  let landings = ref [] in
+  let driver () =
+    match windows with
+    | [] -> Unix.sleepf duration
+    | _ ->
+        landings :=
+          Harness.Storm.run
+            ~arm_chaos:(fun () ->
+              Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ())
+            ~disarm_chaos:Soak_chaos.disarm
+            ~chaos_hits:(fun () ->
+              (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious)
+            ~on_active:(fun n -> Atomic.set fault_phase (n > 0))
+            ~settle:(Float.min 0.1 third) windows;
+        Atomic.set fault_phase false;
+        Unix.sleepf third
+  in
+  let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
+  let bites0 = Harness.Stall.Zombie.bites () in
+  let r = Soak_service.run ~config:cfg ~on_push ~on_pop ~driver ~duration () in
+  let freezes = Harness.Stall.Freezer.freeze_hits () in
+  let spurious =
+    (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
+  in
+  let zombie_bites = Harness.Stall.Zombie.bites () - bites0 in
+  let landed =
+    List.length (List.filter (fun l -> l.Harness.Storm.landed) !landings)
+  in
+  Harness.Crash.reset ();
+  Harness.Stall.Freezer.reset ();
+  Harness.Stall.Zombie.reset ();
+  let open Worksteal.Shard_service in
+  let merge hs =
+    Array.fold_left Fixed_histogram.merge hs.(0) (Array.sub hs 1 (slots - 1))
+  in
+  let q h p =
+    if Fixed_histogram.count h = 0 then 0.
+    else finite (Fixed_histogram.quantile_ns h p)
+  in
+  let ch = merge calm_h and fh = merge fault_h in
+  let conserved = if conserved r then 1 else 0 in
+  let tp =
+    if r.elapsed > 0. then float_of_int (r.pushed_ok + r.executed) /. r.elapsed
+    else 0.
+  in
+  let imbalance =
+    finite (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
+  in
+  let shed_total = shed r in
+  let shed_rate =
+    if r.spawned > 0 then float_of_int shed_total /. float_of_int r.spawned
+    else 0.
+  in
+  let recovery_max = List.fold_left Float.max 0. r.recoveries in
+  emit_json
+    (Harness.Json.Obj
+       [
+         ("experiment", Harness.Json.String id);
+         ("section", Harness.Json.String "soak");
+         ("cell", Harness.Json.String label);
+         ("shards", Harness.Json.Int cfg.shards);
+         ("producers", Harness.Json.Int cfg.producers);
+         ("consumers", Harness.Json.Int cfg.consumers);
+         ("rate", Harness.Json.Float cfg.rate);
+         ( "deadline_s",
+           Harness.Json.Float (Option.value ~default:0. cfg.deadline) );
+         ("elapsed_s", Harness.Json.Float r.elapsed);
+         ("ops_per_sec", Harness.Json.Float tp);
+         ("spawned", Harness.Json.Int r.spawned);
+         ("executed", Harness.Json.Int r.executed);
+         ("reconciled", Harness.Json.Int r.reconciled);
+         ("shed_admission", Harness.Json.Int r.shed_admission);
+         ("shed_expired", Harness.Json.Int r.shed_expired);
+         ("shed_rate", Harness.Json.Float shed_rate);
+         ("leftover", Harness.Json.Int r.leftover);
+         ("conserved", Harness.Json.Int conserved);
+         ("pushed_ok", Harness.Json.Int r.pushed_ok);
+         ("push_full", Harness.Json.Int r.push_full);
+         ("timeouts", Harness.Json.Int r.timeouts);
+         ("overshoot_max_ns", Harness.Json.Int r.overshoot_max_ns);
+         ("killed", Harness.Json.Int r.killed);
+         ("zombies_fenced", Harness.Json.Int r.zombies_fenced);
+         ("zombie_bites", Harness.Json.Int zombie_bites);
+         ("replacements", Harness.Json.Int r.replacements);
+         ("adoptions", Harness.Json.Int r.adoptions);
+         ("adopted_items", Harness.Json.Int r.adopted_items);
+         ("orphans_helped", Harness.Json.Int r.orphans_helped);
+         ("freezes", Harness.Json.Int freezes);
+         ("chaos_spurious", Harness.Json.Int spurious);
+         ("storm_windows", Harness.Json.Int (List.length windows));
+         ("storm_landed", Harness.Json.Int landed);
+         ("recoveries", Harness.Json.Int (List.length r.recoveries));
+         ("recovery_p50_s", Harness.Json.Float (lat_q r.recoveries 0.5));
+         ("recovery_p90_s", Harness.Json.Float (lat_q r.recoveries 0.9));
+         ("recovery_max_s", Harness.Json.Float recovery_max);
+         ("calm_p50_ns", Harness.Json.Float (q ch 0.5));
+         ("calm_p99_ns", Harness.Json.Float (q ch 0.99));
+         ("calm_p999_ns", Harness.Json.Float (q ch 0.999));
+         ("fault_p50_ns", Harness.Json.Float (q fh 0.5));
+         ("fault_p99_ns", Harness.Json.Float (q fh 0.99));
+         ("fault_p999_ns", Harness.Json.Float (q fh 0.999));
+         ("imbalance", Harness.Json.Float imbalance);
+       ]);
+  [
+    label;
+    fmt_tp tp;
+    fmt_ns (q ch 0.5);
+    fmt_ns (q ch 0.99);
+    (if Fixed_histogram.count fh = 0 then "-" else fmt_ns (q fh 0.99));
+    Printf.sprintf "%.1f%%" (shed_rate *. 100.);
+    string_of_int r.killed;
+    string_of_int r.zombies_fenced;
+    string_of_int r.replacements;
+    Printf.sprintf "%d/%d" landed (List.length windows);
+    (if recovery_max = 0. then "-" else Printf.sprintf "%.3fs" recovery_max);
+    (if conserved = 1 then "ok"
+     else
+       Printf.sprintf "VIOLATED %d<>%d+%d+%d (+%d left)" r.spawned r.executed
+         r.reconciled shed_total r.leftover);
+  ]
+
+(* A soak: the calm cell, then the storm cell under [windows], as one
+   table.  Bound in sequence: list literals evaluate right-to-left, and
+   the calm cell must run first (its row is the storm's baseline). *)
+let soak ~id ~cfg ~duration windows =
+  let calm_row = soak_cell ~id ~cfg ~duration ~label:"calm" [] in
+  let storm_row = soak_cell ~id ~cfg ~duration ~label:"storm" windows in
+  Harness.Table.print
+    ~headers:
+      [
+        "cell"; "ops/s"; "calm p50"; "calm p99"; "fault p99"; "shed"; "killed";
+        "zfenced"; "repl"; "landed"; "recovery"; "conserved";
+      ]
+    [ calm_row; storm_row ]
+
+(* E24: SLO-gated latency under a fault storm.  In the middle third,
+   chaos and a freeze of producer 0 open together; the mid-CASN kill
+   of the first consumer fires as the freeze thaws, and chaos stops one
+   freeze-hold after the third ends. *)
 let e24 ~quick =
   header "E24 sharded service soak: SLO-gated latency under live fault storms";
   let duration = dur ~quick 2.0 in
-  let finite f = if Float.is_finite f then f else 0. in
   let cfg =
     {
       Worksteal.Shard_service.default with
@@ -2042,178 +2226,39 @@ let e24 ~quick =
       sup = { Worksteal.Supervisor.default with silence_after = 0. };
     }
   in
-  let slots = cfg.Worksteal.Shard_service.producers + cfg.Worksteal.Shard_service.consumers in
-  let cell ~label ~storm =
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    Soak_chaos.disarm ();
-    (* Phase-tagged service-time histograms: per-slot (the observers
-       run on the worker domains), split calm/fault by a flag the storm
-       driver flips, successful operations only — the SLO is on served
-       requests, not on consumers' empty scans. *)
-    let fault_phase = Atomic.make false in
-    let mk () =
-      Array.init slots (fun _ ->
-          Fixed_histogram.create ~width_ns:500. ~buckets:65536 ())
-    in
-    let calm_h = mk () and fault_h = mk () in
-    let record ~tid ~ns =
-      let h = if Atomic.get fault_phase then fault_h else calm_h in
-      if tid >= 0 && tid < slots then Fixed_histogram.add h.(tid) ~ns
-    in
-    let on_push ~tid ~ns = function
-      | `Okay -> record ~tid ~ns
-      | `Full | `Timeout -> ()
-    in
-    let on_pop ~tid ~ns = function
-      | `Value _ -> record ~tid ~ns
-      | `Empty | `Timeout -> ()
-    in
-    (* The storm driver runs on the calling domain while traffic flows:
-       a calm lead-in, then — inside the fault window — seeded chaos, a
-       freeze/thaw episode on producer 0 and a targeted mid-CASN kill
-       of consumer slot [producers], then a calm recovery tail. *)
-    let third = duration /. 3. in
-    let driver () =
-      if storm then begin
-        Unix.sleepf third;
-        Atomic.set fault_phase true;
-        Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ();
-        Harness.Stall.Freezer.freeze ~tid:0;
-        Unix.sleepf (Float.min 0.05 (third /. 4.));
-        Harness.Stall.Freezer.thaw ~tid:0;
-        Harness.Crash.kill ~mode:`Mid_casn
-          ~tid:cfg.Worksteal.Shard_service.producers ();
-        Unix.sleepf third;
-        Soak_chaos.disarm ();
-        Atomic.set fault_phase false;
-        Unix.sleepf third
-      end
-      else Unix.sleepf duration
-    in
-    let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
-    let r = Soak_service.run ~config:cfg ~on_push ~on_pop ~driver ~duration () in
-    let freezes = Harness.Stall.Freezer.freeze_hits () in
-    let spurious =
-      (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
-    in
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    let open Worksteal.Shard_service in
-    let merge hs =
-      Array.fold_left Fixed_histogram.merge hs.(0)
-        (Array.sub hs 1 (slots - 1))
-    in
-    let q h p =
-      if Fixed_histogram.count h = 0 then 0.
-      else finite (Fixed_histogram.quantile_ns h p)
-    in
-    let ch = merge calm_h and fh = merge fault_h in
-    let conserved = if conserved r then 1 else 0 in
-    let tp =
-      if r.elapsed > 0. then
-        float_of_int (r.pushed_ok + r.executed) /. r.elapsed
-      else 0.
-    in
-    let imbalance =
-      finite (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
-    in
-    let recovery_max = List.fold_left Float.max 0. r.recoveries in
-    emit_json
-      (Harness.Json.Obj
-         [
-           ("experiment", Harness.Json.String "e24");
-           ("section", Harness.Json.String "soak");
-           ("cell", Harness.Json.String label);
-           ("shards", Harness.Json.Int cfg.shards);
-           ("producers", Harness.Json.Int cfg.producers);
-           ("consumers", Harness.Json.Int cfg.consumers);
-           ("rate", Harness.Json.Float cfg.rate);
-           ("elapsed_s", Harness.Json.Float r.elapsed);
-           ("ops_per_sec", Harness.Json.Float tp);
-           ("spawned", Harness.Json.Int r.spawned);
-           ("executed", Harness.Json.Int r.executed);
-           ("reconciled", Harness.Json.Int r.reconciled);
-           ("leftover", Harness.Json.Int r.leftover);
-           ("conserved", Harness.Json.Int conserved);
-           ("pushed_ok", Harness.Json.Int r.pushed_ok);
-           ("push_full", Harness.Json.Int r.push_full);
-           ("timeouts", Harness.Json.Int r.timeouts);
-           ("killed", Harness.Json.Int r.killed);
-           ("replacements", Harness.Json.Int r.replacements);
-           ("adoptions", Harness.Json.Int r.adoptions);
-           ("adopted_items", Harness.Json.Int r.adopted_items);
-           ("orphans_helped", Harness.Json.Int r.orphans_helped);
-           ("freezes", Harness.Json.Int freezes);
-           ("chaos_spurious", Harness.Json.Int spurious);
-           ("recoveries", Harness.Json.Int (List.length r.recoveries));
-           ("recovery_max_s", Harness.Json.Float recovery_max);
-           ("calm_p50_ns", Harness.Json.Float (q ch 0.5));
-           ("calm_p99_ns", Harness.Json.Float (q ch 0.99));
-           ("calm_p999_ns", Harness.Json.Float (q ch 0.999));
-           ("fault_p50_ns", Harness.Json.Float (q fh 0.5));
-           ("fault_p99_ns", Harness.Json.Float (q fh 0.99));
-           ("fault_p999_ns", Harness.Json.Float (q fh 0.999));
-           ("imbalance", Harness.Json.Float imbalance);
-         ]);
+  let third = duration /. 3. in
+  let hold = Float.min 0.05 (third /. 4.) in
+  soak ~id:"e24" ~cfg ~duration
     [
-      label;
-      fmt_tp tp;
-      fmt_ns (q ch 0.5);
-      fmt_ns (q ch 0.99);
-      fmt_ns (q ch 0.999);
-      (if Fixed_histogram.count fh = 0 then "-" else fmt_ns (q fh 0.99));
-      string_of_int r.killed;
-      string_of_int r.replacements;
-      string_of_int r.adoptions;
-      (if recovery_max = 0. then "-" else Printf.sprintf "%.3fs" recovery_max);
-      Printf.sprintf "%.2f" imbalance;
-      (if conserved = 1 then "ok"
-       else
-         Printf.sprintf "VIOLATED %d<>%d+%d (+%d left)" r.spawned r.executed
-           r.reconciled r.leftover);
-    ]
-  in
-  (* bind in sequence: list literals evaluate right-to-left, and the
-     calm cell must run first (its row is the storm's baseline) *)
-  let calm_row = cell ~label:"calm" ~storm:false in
-  let storm_row = cell ~label:"storm" ~storm:true in
-  let rows = [ calm_row; storm_row ] in
-  Harness.Table.print
-    ~headers:
-      [
-        "cell"; "ops/s"; "calm p50"; "calm p99"; "calm p999"; "fault p99";
-        "killed"; "repl"; "adopt"; "recovery"; "imbal"; "conserved";
-      ]
-    rows;
+      { Harness.Storm.at = third; hold = third +. hold; fault = Chaos };
+      { Harness.Storm.at = third; hold; fault = Freeze { tid = 0 } };
+      {
+        Harness.Storm.at = third +. hold;
+        hold = third;
+        fault = Kill { tid = cfg.producers; mid_casn = true };
+      };
+    ];
   note
     "%d shards (%d producers + %d consumers + monitor) over the chaos+\n\
      crash+freeze substrate, %.0f arrivals/s per producer in bursts of\n\
      %d, %.1fs per cell; the storm cell freezes producer 0 mid-soak,\n\
-     kills one consumer mid-CASN (its shard is quarantined, drained\n\
-     into survivors and revived for the replacement) and runs seeded\n\
-     spurious-DCAS chaos for the middle third; latencies are successful\n\
-     operations only, split calm/fault by storm phase; conserved means\n\
-     spawned = executed + reconciled and a zero leftover drain"
-    cfg.Worksteal.Shard_service.shards cfg.Worksteal.Shard_service.producers
-    cfg.Worksteal.Shard_service.consumers cfg.Worksteal.Shard_service.rate
-    cfg.Worksteal.Shard_service.burst duration
+     kills one consumer mid-CASN as it thaws (its shard is quarantined,\n\
+     drained into survivors and revived for the replacement) and runs\n\
+     seeded spurious-DCAS chaos for the middle third; latencies are\n\
+     successful operations only, split calm/fault by storm phase;\n\
+     conserved means spawned = executed + reconciled and a zero\n\
+     leftover drain"
+    cfg.shards cfg.producers cfg.consumers cfg.rate cfg.burst duration
 
-(* ------------------------------------------------------------------ *)
-(* E25: multi-storm survival soak — deadlines, zombies, fencing        *)
-(* ------------------------------------------------------------------ *)
-
-(* E24 with every remaining failure mode armed at once: per-request
+(* E25: E24 with every remaining failure mode armed at once: per-request
    deadlines with admission control (sheds enter the conservation law
    as first-class timed-out outcomes), a zombified consumer that keeps
    ticking its heartbeat while doing no work (progress-based fencing
-   must catch it — silence detection cannot), and a declarative
-   multi-storm schedule overlapping kill, freeze, zombie and chaos
-   windows with seeded jitter.  Reuses E24's composed substrate. *)
+   must catch it — silence detection cannot), and four overlapping
+   storm windows with seeded jitter. *)
 let e25 ~quick =
   header "E25 multi-storm survival soak: deadlines, zombies, fencing";
   let duration = dur ~quick 2.4 in
-  let finite f = if Float.is_finite f then f else 0. in
   let cfg =
     {
       Worksteal.Shard_service.default with
@@ -2240,215 +2285,31 @@ let e25 ~quick =
         };
     }
   in
-  let slots =
-    cfg.Worksteal.Shard_service.producers
-    + cfg.Worksteal.Shard_service.consumers
-  in
-  (* recovery-latency quantiles over the per-event list *)
-  let lat_q rs p =
-    match List.sort compare rs with
-    | [] -> 0.
-    | sorted ->
-        let n = List.length sorted in
-        let i = Float.to_int (p *. float_of_int (n - 1) +. 0.5) in
-        List.nth sorted (min (n - 1) (max 0 i))
-  in
-  let cell ~label ~storm =
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    Harness.Stall.Zombie.reset ();
-    Soak_chaos.disarm ();
-    let fault_phase = Atomic.make false in
-    let mk () =
-      Array.init slots (fun _ ->
-          Fixed_histogram.create ~width_ns:500. ~buckets:65536 ())
-    in
-    let calm_h = mk () and fault_h = mk () in
-    let record ~tid ~ns =
-      let h = if Atomic.get fault_phase then fault_h else calm_h in
-      if tid >= 0 && tid < slots then Fixed_histogram.add h.(tid) ~ns
-    in
-    let on_push ~tid ~ns = function
-      | `Okay -> record ~tid ~ns
-      | `Full | `Timeout -> ()
-    in
-    let on_pop ~tid ~ns = function
-      | `Value _ -> record ~tid ~ns
-      | `Empty | `Timeout -> ()
-    in
-    (* The storm schedule occupies the middle third: a zombie window on
-       the last consumer, a mid-CASN kill of the first consumer, a
-       short freeze of producer 0 and a chaos window, overlapping, with
-       seeded jitter so repeated soaks sample different alignments. *)
-    let third = duration /. 3. in
-    let windows =
-      if not storm then []
-      else
-        Harness.Storm.jittered ~seed:0xE25 ~jitter:(third /. 20.)
-          [
-            {
-              Harness.Storm.at = third;
-              hold = third;
-              fault = Harness.Storm.Chaos;
-            };
-            {
-              Harness.Storm.at = third *. 1.1;
-              hold = third *. 0.8;
-              fault =
-                Harness.Storm.Zombie { tid = slots - 1 };
-            };
-            {
-              Harness.Storm.at = third *. 1.3;
-              hold = Float.min 0.05 (third /. 4.);
-              fault = Harness.Storm.Freeze { tid = 0 };
-            };
-            {
-              Harness.Storm.at = third *. 1.5;
-              hold = third *. 0.2;
-              fault =
-                Harness.Storm.Kill
-                  {
-                    tid = cfg.Worksteal.Shard_service.producers;
-                    mid_casn = true;
-                  };
-            };
-          ]
-    in
-    let landings = ref [] in
-    let driver () =
-      if storm then begin
-        landings :=
-          Harness.Storm.run
-            ~arm_chaos:(fun () ->
-              Soak_chaos.configure ~fail_prob:0.002 ~seed:0xC4A05 ())
-            ~disarm_chaos:Soak_chaos.disarm
-            ~chaos_hits:(fun () ->
-              (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious)
-            ~on_active:(fun n -> Atomic.set fault_phase (n > 0))
-            ~settle:(Float.min 0.1 third) windows;
-        Atomic.set fault_phase false;
-        (* calm recovery tail *)
-        Unix.sleepf third
-      end
-      else Unix.sleepf duration
-    in
-    let spurious0 = (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious in
-    let bites0 = Harness.Stall.Zombie.bites () in
-    let r = Soak_service.run ~config:cfg ~on_push ~on_pop ~driver ~duration () in
-    let freezes = Harness.Stall.Freezer.freeze_hits () in
-    let spurious =
-      (Soak_mem.stats ()).Dcas.Memory_intf.chaos_spurious - spurious0
-    in
-    let zombie_bites = Harness.Stall.Zombie.bites () - bites0 in
-    let landed =
-      List.length (List.filter (fun l -> l.Harness.Storm.landed) !landings)
-    in
-    Harness.Crash.reset ();
-    Harness.Stall.Freezer.reset ();
-    Harness.Stall.Zombie.reset ();
-    let open Worksteal.Shard_service in
-    let merge hs =
-      Array.fold_left Fixed_histogram.merge hs.(0)
-        (Array.sub hs 1 (slots - 1))
-    in
-    let q h p =
-      if Fixed_histogram.count h = 0 then 0.
-      else finite (Fixed_histogram.quantile_ns h p)
-    in
-    let ch = merge calm_h and fh = merge fault_h in
-    let conserved = if conserved r then 1 else 0 in
-    let tp =
-      if r.elapsed > 0. then
-        float_of_int (r.pushed_ok + r.executed) /. r.elapsed
-      else 0.
-    in
-    let imbalance =
-      finite (Harness.Metrics.Starvation.of_counts r.per_shard_popped).imbalance
-    in
-    let shed_total = shed r in
-    let shed_rate =
-      if r.spawned > 0 then float_of_int shed_total /. float_of_int r.spawned
-      else 0.
-    in
-    emit_json
-      (Harness.Json.Obj
-         [
-           ("experiment", Harness.Json.String "e25");
-           ("section", Harness.Json.String "soak");
-           ("cell", Harness.Json.String label);
-           ("shards", Harness.Json.Int cfg.shards);
-           ("producers", Harness.Json.Int cfg.producers);
-           ("consumers", Harness.Json.Int cfg.consumers);
-           ("rate", Harness.Json.Float cfg.rate);
-           ( "deadline_s",
-             Harness.Json.Float (Option.value ~default:0. cfg.deadline) );
-           ("elapsed_s", Harness.Json.Float r.elapsed);
-           ("ops_per_sec", Harness.Json.Float tp);
-           ("spawned", Harness.Json.Int r.spawned);
-           ("executed", Harness.Json.Int r.executed);
-           ("reconciled", Harness.Json.Int r.reconciled);
-           ("shed_admission", Harness.Json.Int r.shed_admission);
-           ("shed_expired", Harness.Json.Int r.shed_expired);
-           ("shed_rate", Harness.Json.Float shed_rate);
-           ("leftover", Harness.Json.Int r.leftover);
-           ("conserved", Harness.Json.Int conserved);
-           ("pushed_ok", Harness.Json.Int r.pushed_ok);
-           ("push_full", Harness.Json.Int r.push_full);
-           ("timeouts", Harness.Json.Int r.timeouts);
-           ("overshoot_max_ns", Harness.Json.Int r.overshoot_max_ns);
-           ("killed", Harness.Json.Int r.killed);
-           ("zombies_fenced", Harness.Json.Int r.zombies_fenced);
-           ("zombie_bites", Harness.Json.Int zombie_bites);
-           ("replacements", Harness.Json.Int r.replacements);
-           ("adoptions", Harness.Json.Int r.adoptions);
-           ("adopted_items", Harness.Json.Int r.adopted_items);
-           ("orphans_helped", Harness.Json.Int r.orphans_helped);
-           ("freezes", Harness.Json.Int freezes);
-           ("chaos_spurious", Harness.Json.Int spurious);
-           ("storm_windows", Harness.Json.Int (List.length windows));
-           ("storm_landed", Harness.Json.Int landed);
-           ("recoveries", Harness.Json.Int (List.length r.recoveries));
-           ("recovery_p50_s", Harness.Json.Float (lat_q r.recoveries 0.5));
-           ("recovery_p90_s", Harness.Json.Float (lat_q r.recoveries 0.9));
-           ( "recovery_max_s",
-             Harness.Json.Float (List.fold_left Float.max 0. r.recoveries) );
-           ("calm_p50_ns", Harness.Json.Float (q ch 0.5));
-           ("calm_p99_ns", Harness.Json.Float (q ch 0.99));
-           ("calm_p999_ns", Harness.Json.Float (q ch 0.999));
-           ("fault_p50_ns", Harness.Json.Float (q fh 0.5));
-           ("fault_p99_ns", Harness.Json.Float (q fh 0.99));
-           ("fault_p999_ns", Harness.Json.Float (q fh 0.999));
-           ("imbalance", Harness.Json.Float imbalance);
-         ]);
-    [
-      label;
-      fmt_tp tp;
-      fmt_ns (q ch 0.99);
-      (if Fixed_histogram.count fh = 0 then "-" else fmt_ns (q fh 0.99));
-      Printf.sprintf "%.1f%%" (shed_rate *. 100.);
-      string_of_int r.overshoot_max_ns;
-      string_of_int r.killed;
-      string_of_int r.zombies_fenced;
-      string_of_int freezes;
-      Printf.sprintf "%d/%d" landed (List.length windows);
-      (if r.recoveries = [] then "-"
-       else Printf.sprintf "%.3fs" (List.fold_left Float.max 0. r.recoveries));
-      (if conserved = 1 then "ok"
-       else
-         Printf.sprintf "VIOLATED %d<>%d+%d+%d (+%d left)" r.spawned
-           r.executed r.reconciled shed_total r.leftover);
-    ]
-  in
-  let calm_row = cell ~label:"calm" ~storm:false in
-  let storm_row = cell ~label:"storm" ~storm:true in
-  let rows = [ calm_row; storm_row ] in
-  Harness.Table.print
-    ~headers:
-      [
-        "cell"; "ops/s"; "calm p99"; "fault p99"; "shed"; "overshoot ns";
-        "killed"; "zfenced"; "freezes"; "landed"; "recovery"; "conserved";
-      ]
-    rows;
+  (* A zombie window on the last consumer, a mid-CASN kill of the first
+     consumer, a short freeze of producer 0 and a chaos window,
+     overlapping, with seeded jitter so repeated soaks sample different
+     alignments. *)
+  let third = duration /. 3. in
+  soak ~id:"e25" ~cfg ~duration
+    (Harness.Storm.jittered ~seed:0xE25 ~jitter:(third /. 20.)
+       [
+         { Harness.Storm.at = third; hold = third; fault = Chaos };
+         {
+           Harness.Storm.at = third *. 1.1;
+           hold = third *. 0.8;
+           fault = Zombie { tid = cfg.producers + cfg.consumers - 1 };
+         };
+         {
+           Harness.Storm.at = third *. 1.3;
+           hold = Float.min 0.05 (third /. 4.);
+           fault = Freeze { tid = 0 };
+         };
+         {
+           Harness.Storm.at = third *. 1.5;
+           hold = third *. 0.2;
+           fault = Kill { tid = cfg.producers; mid_casn = true };
+         };
+       ]);
   note
     "%d shards (%d producers + %d consumers + monitor), 50ms request\n\
      deadlines with p99-sojourn admission control; the storm cell runs\n\
@@ -2459,9 +2320,7 @@ let e25 ~quick =
      zombie exactly once, and keep the extended conservation law\n\
      spawned = executed + reconciled + shed with a zero-leftover drain\n\
      and no served op finishing past its stamped deadline"
-    cfg.Worksteal.Shard_service.shards cfg.Worksteal.Shard_service.producers
-    cfg.Worksteal.Shard_service.consumers
-
+    cfg.shards cfg.producers cfg.consumers
 (* ------------------------------------------------------------------ *)
 
 type experiment = { id : string; title : string; run : quick:bool -> unit }

@@ -257,17 +257,17 @@ let check_e23 rows =
   | l -> fail "expected exactly 1 frozen-probe row, got %d" (List.length l));
   Printf.printf "e23 invariants: ok\n"
 
-(* E24 is the sharded-service soak gate: both cells (calm and storm)
-   must conserve service-wide (spawned = executed + reconciled, zero
-   leftover drain), the storm cell must actually have stormed (>= 1
-   kill, >= 1 freeze park, a recovery latency recorded, a replacement
-   per death), the calm cell must be fault-free, quantiles must be
-   ordered, and the calm p99 must clear a deliberately generous SLO —
-   the bar is "bounded under faults on one oversubscribed core", not a
-   latency contest. *)
-let check_e24 rows =
+(* The checks the two soak gates (E24, E25) share.  Each document holds
+   exactly one calm and one storm cell; every cell must pass the gate's
+   own per-row checks [row] (its conservation law first), drain to zero
+   leftover, serve traffic and keep its calm quantiles ordered, and the
+   storm cell must actually have stormed (>= 1 kill, >= 1 freeze park,
+   spurious DCAS failures, a recovery latency recorded) with ordered
+   fault quantiles.  Returns the calm and storm rows for the gate's
+   remaining checks. *)
+let check_soak ~id ~row rows =
   let open Gate (struct
-    let id = "e24"
+    let id = id
     let label = Some "cell"
   end) in
   let soak = List.filter (fun r -> str "section" r = "soak") rows in
@@ -282,76 +282,10 @@ let check_e24 rows =
   List.iter
     (fun r ->
       let c = str "cell" r in
-      if int_of "conserved" r <> 1 then
-        fail "%s: spawned %d <> executed %d + reconciled %d" c
-          (int_of "spawned" r) (int_of "executed" r) (int_of "reconciled" r);
+      row c r;
       if int_of "leftover" r <> 0 then
         fail "%s: %d items left after the final drain" c (int_of "leftover" r);
       if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" c;
-      if
-        num "calm_p50_ns" r > num "calm_p99_ns" r
-        || num "calm_p99_ns" r > num "calm_p999_ns" r
-      then
-        fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c
-          (num "calm_p50_ns" r) (num "calm_p99_ns" r) (num "calm_p999_ns" r);
-      (* generous 1-core SLO: calm p99 under 50ms *)
-      if num "calm_p99_ns" r > 50e6 then
-        fail "%s: calm p99 %.1fms blows the 50ms SLO" c
-          (num "calm_p99_ns" r /. 1e6))
-    soak;
-  if int_of "killed" calm <> 0 || int_of "freezes" calm <> 0 then
-    fail "calm cell saw faults (%d kills, %d freezes)" (int_of "killed" calm)
-      (int_of "freezes" calm);
-  if int_of "killed" storm < 1 then fail "storm cell killed nobody";
-  if int_of "freezes" storm < 1 then fail "storm cell froze nobody";
-  if int_of "chaos_spurious" storm < 1 then
-    fail "storm cell injected no spurious DCAS failures";
-  if int_of "replacements" storm < int_of "killed" storm then
-    fail "storm: %d replacements for %d deaths" (int_of "replacements" storm)
-      (int_of "killed" storm);
-  if int_of "recoveries" storm < 1 || not (num "recovery_max_s" storm > 0.) then
-    fail "storm cell recorded no recovery latency";
-  if num "fault_p50_ns" storm > num "fault_p99_ns" storm then
-    fail "storm: fault quantiles out of order";
-  Printf.printf "e24 invariants: ok\n"
-
-(* E25 cross-checks: deadline enforcement, zombie fencing and the
-   multi-storm schedule must all demonstrably fire, the extended
-   conservation law spawned = executed + reconciled + shed must hold
-   in every cell with a zero-leftover drain, no served operation may
-   finish past its stamped deadline beyond a scheduling epsilon, and
-   every scheduled storm window must land. *)
-let check_e25 rows =
-  let open Gate (struct
-    let id = "e25"
-    let label = Some "cell"
-  end) in
-  let soak = List.filter (fun r -> str "section" r = "soak") rows in
-  let cell c =
-    match List.find_opt (fun r -> str "cell" r = c) soak with
-    | Some r -> r
-    | None -> fail "missing %s cell" c
-  in
-  if List.length soak <> 2 then
-    fail "expected 2 soak rows, got %d" (List.length soak);
-  let calm = cell "calm" and storm = cell "storm" in
-  List.iter
-    (fun r ->
-      let c = str "cell" r in
-      if int_of "spawned" r <= 0 then fail "%s: spawned nothing" c;
-      if int_of "conserved" r <> 1 then
-        fail "%s: spawned %d <> executed %d + reconciled %d + shed %d+%d" c
-          (int_of "spawned" r) (int_of "executed" r) (int_of "reconciled" r)
-          (int_of "shed_admission" r) (int_of "shed_expired" r);
-      if int_of "leftover" r <> 0 then
-        fail "%s: %d items left after the final drain" c (int_of "leftover" r);
-      if not (num "ops_per_sec" r > 0.) then fail "%s: no throughput" c;
-      (* deadline enforcement: expired items are shed at dequeue, so a
-         served op finishing past its stamped expiry beyond a
-         scheduling epsilon is an enforcement bug *)
-      if num "overshoot_max_ns" r > 50e6 then
-        fail "%s: served op finished %.1fms past its deadline" c
-          (num "overshoot_max_ns" r /. 1e6);
       if
         num "calm_p50_ns" r > num "calm_p99_ns" r
         || num "calm_p99_ns" r > num "calm_p999_ns" r
@@ -359,6 +293,69 @@ let check_e25 rows =
         fail "%s: calm quantiles out of order (%.0f/%.0f/%.0f)" c
           (num "calm_p50_ns" r) (num "calm_p99_ns" r) (num "calm_p999_ns" r))
     soak;
+  if int_of "killed" storm < 1 then fail "storm cell killed nobody";
+  if int_of "freezes" storm < 1 then fail "storm cell froze nobody";
+  if int_of "chaos_spurious" storm < 1 then
+    fail "storm cell injected no spurious DCAS failures";
+  if int_of "recoveries" storm < 1 || not (num "recovery_max_s" storm > 0.) then
+    fail "storm cell recorded no recovery latency";
+  if num "fault_p50_ns" storm > num "fault_p99_ns" storm then
+    fail "storm: fault quantiles out of order";
+  (calm, storm)
+
+(* E24 is the sharded-service soak gate: on top of the shared soak
+   checks, conservation is spawned = executed + reconciled, the calm
+   cell must be fault-free, every death must be replaced, and the calm
+   p99 must clear a deliberately generous SLO — the bar is "bounded
+   under faults on one oversubscribed core", not a latency contest. *)
+let check_e24 rows =
+  let open Gate (struct
+    let id = "e24"
+    let label = Some "cell"
+  end) in
+  let calm, storm =
+    check_soak ~id:"e24" rows ~row:(fun c r ->
+        if int_of "conserved" r <> 1 then
+          fail "%s: spawned %d <> executed %d + reconciled %d" c
+            (int_of "spawned" r) (int_of "executed" r) (int_of "reconciled" r);
+        (* generous 1-core SLO: calm p99 under 50ms *)
+        if num "calm_p99_ns" r > 50e6 then
+          fail "%s: calm p99 %.1fms blows the 50ms SLO" c
+            (num "calm_p99_ns" r /. 1e6))
+  in
+  if int_of "killed" calm <> 0 || int_of "freezes" calm <> 0 then
+    fail "calm cell saw faults (%d kills, %d freezes)" (int_of "killed" calm)
+      (int_of "freezes" calm);
+  if int_of "replacements" storm < int_of "killed" storm then
+    fail "storm: %d replacements for %d deaths" (int_of "replacements" storm)
+      (int_of "killed" storm);
+  Printf.printf "e24 invariants: ok\n"
+
+(* E25 cross-checks, on top of the shared soak checks: deadline
+   enforcement, zombie fencing and the multi-storm schedule must all
+   demonstrably fire, the extended conservation law spawned = executed
+   + reconciled + shed must hold in every cell, no served operation may
+   finish past its stamped deadline beyond a scheduling epsilon, and
+   every scheduled storm window must land. *)
+let check_e25 rows =
+  let open Gate (struct
+    let id = "e25"
+    let label = Some "cell"
+  end) in
+  let calm, storm =
+    check_soak ~id:"e25" rows ~row:(fun c r ->
+        if int_of "spawned" r <= 0 then fail "%s: spawned nothing" c;
+        if int_of "conserved" r <> 1 then
+          fail "%s: spawned %d <> executed %d + reconciled %d + shed %d+%d" c
+            (int_of "spawned" r) (int_of "executed" r) (int_of "reconciled" r)
+            (int_of "shed_admission" r) (int_of "shed_expired" r);
+        (* deadline enforcement: expired items are shed at dequeue, so a
+           served op finishing past its stamped expiry beyond a
+           scheduling epsilon is an enforcement bug *)
+        if num "overshoot_max_ns" r > 50e6 then
+          fail "%s: served op finished %.1fms past its deadline" c
+            (num "overshoot_max_ns" r /. 1e6))
+  in
   (* shed-rate ceilings: a calm cell shedding visibly means admission
      or expiry fires without cause; a storm cell may shed heavily but
      must still serve a floor of its traffic *)
@@ -386,10 +383,6 @@ let check_e25 rows =
   if int_of "storm_landed" storm <> int_of "storm_windows" storm then
     fail "only %d of %d storm windows landed" (int_of "storm_landed" storm)
       (int_of "storm_windows" storm);
-  if int_of "killed" storm < 1 then fail "storm cell killed nobody";
-  if int_of "freezes" storm < 1 then fail "storm cell froze nobody";
-  if int_of "chaos_spurious" storm < 1 then
-    fail "storm cell injected no spurious DCAS failures";
   if int_of "zombie_bites" storm < 1 then
     fail "storm cell's zombie never bit (suppressed no operations)";
   if int_of "zombies_fenced" storm < 1 then
@@ -401,8 +394,6 @@ let check_e25 rows =
     fail "storm: %d replacements for %d deaths + %d zombies"
       (int_of "replacements" storm) (int_of "killed" storm)
       (int_of "zombies_fenced" storm);
-  if int_of "recoveries" storm < 1 || not (num "recovery_max_s" storm > 0.)
-  then fail "storm cell recorded no recovery latency";
   if
     num "recovery_p50_s" storm > num "recovery_p90_s" storm
     || num "recovery_p90_s" storm > num "recovery_max_s" storm
@@ -410,8 +401,6 @@ let check_e25 rows =
     fail "storm: recovery quantiles out of order (%.3f/%.3f/%.3f)"
       (num "recovery_p50_s" storm) (num "recovery_p90_s" storm)
       (num "recovery_max_s" storm);
-  if num "fault_p50_ns" storm > num "fault_p99_ns" storm then
-    fail "storm: fault quantiles out of order";
   Printf.printf "e25 invariants: ok\n"
 
 (* Parse a --json document back and print a deterministic summary; the

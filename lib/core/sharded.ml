@@ -194,6 +194,24 @@ module Make (D : Deque_intf.S) = struct
 
   (* --- push --- *)
 
+  (* First fit: offer [v] to each live shard [(start + j) mod k] for
+     [j = i .. k - 1], in that order, one undeadlined push each, and
+     return the shard that took it.  Every placement loop — cross-shard
+     overflow, adoption, [place]'s sweeps — is this one walk; each
+     caller keeps its own counters. *)
+  let rec first_fit t ~start ~side v i =
+    let k = Array.length t.shards in
+    if i >= k then None
+    else
+      let s = (start + i) mod k in
+      let took =
+        Atomic.get t.alive.(s)
+        && match P.push t.shards.(s) ~side v with
+           | `Okay -> true
+           | `Full | `Timeout -> false
+      in
+      if took then Some s else first_fit t ~start ~side v (i + 1)
+
   let push ?deadline ?(urgent = false) t ~key v : Policy.push_outcome =
     let side = side_of ~urgent in
     let home = route t ~key in
@@ -202,26 +220,16 @@ module Make (D : Deque_intf.S) = struct
         Atomic.incr t.s_pushed.(home);
         `Okay
     | `Timeout -> `Timeout
-    | `Full ->
+    | `Full -> (
         (* cross-shard overflow: one undeadlined attempt per live
            peer; the home shard's policy has already done its Retry /
            Spill work, so a second `Full here is genuine saturation *)
-        let k = Array.length t.shards in
-        let rec overflow i =
-          if i >= k then `Full
-          else
-            let s = (home + i) mod k in
-            if not (Atomic.get t.alive.(s)) then overflow (i + 1)
-            else
-              match P.push t.shards.(s) ~side v with
-              | `Okay ->
-                  Atomic.incr t.s_pushed.(s);
-                  Atomic.incr t.s_rerouted;
-                  `Okay
-              | `Full -> overflow (i + 1)
-              | `Timeout -> assert false (* no deadline passed *)
-        in
-        overflow 1
+        match first_fit t ~start:home ~side v 1 with
+        | Some s ->
+            Atomic.incr t.s_pushed.(s);
+            Atomic.incr t.s_rerouted;
+            `Okay
+        | None -> `Full)
 
   (* --- rebalancing --- *)
 
@@ -240,21 +248,10 @@ module Make (D : Deque_intf.S) = struct
   let place_sweeps = 3
 
   let place t ~start ~side v =
-    let k = Array.length t.shards in
-    let rec go i backoff =
-      if i >= place_sweeps * k then limbo_put t v
-      else
-        let s = (start + i) mod k in
-        let ok =
-          Atomic.get t.alive.(s)
-          && match P.push t.shards.(s) ~side v with
-             | `Okay -> true
-             | `Full | `Timeout -> false
-        in
-        if not ok then
-          go (i + 1)
-            (if (i + 1) mod k = 0 then Dcas.Backoff.once_lazy backoff
-             else backoff)
+    let rec go sweep backoff =
+      if sweep >= place_sweeps then limbo_put t v
+      else if Option.is_none (first_fit t ~start ~side v 0) then
+        go (sweep + 1) (Dcas.Backoff.once_lazy backoff)
     in
     go 0 None
 
@@ -383,24 +380,12 @@ module Make (D : Deque_intf.S) = struct
     let k = Array.length t.shards in
     if not (Array.exists Atomic.get t.alive) then 0
     else
-      let try_place v =
-        let rec go i =
-          if i >= k then false
-          else
-            let s = (shard + 1 + i) mod k in
-            if s = shard || not (Atomic.get t.alive.(s)) then go (i + 1)
-            else
-              match P.push t.shards.(s) ~side:`Right v with
-              | `Okay -> true
-              | `Full | `Timeout -> go (i + 1)
-        in
-        go 0
-      in
       let rec go n =
         match P.pop t.shards.(shard) ~side:`Left with
         | `Empty | `Timeout -> n
         | `Value v ->
-            if try_place v then begin
+            if Option.is_some (first_fit t ~start:shard ~side:`Right v 1)
+            then begin
               Atomic.incr t.s_adopted;
               go (n + 1)
             end

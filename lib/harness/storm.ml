@@ -1,15 +1,15 @@
-(* A declarative multi-storm schedule (experiment E25).
+(* A declarative multi-storm schedule (experiments E24 and E25).
 
-   E24's storm was imperative: a driver thread slept, killed one
-   domain, slept, froze another.  That shape cannot express what the
-   Chase-Lev verification literature says actually breaks services —
-   OVERLAPPING faults (a kill landing while another worker is frozen
-   and a third is a zombie, all under spurious-failure chaos) — and it
-   cannot tell the experiment whether each injection actually landed.
+   An imperative storm driver (sleep, kill one domain, sleep, freeze
+   another) cannot express what the Chase-Lev verification literature
+   says actually breaks services — OVERLAPPING faults (a kill landing
+   while another worker is frozen and a third is a zombie, all under
+   spurious-failure chaos) — and it cannot tell the experiment whether
+   each injection actually landed.
 
    A [window] declares one fault, an offset and a hold time; [run]
-   executes a whole schedule on the calling domain (E25 passes it as
-   the service's [driver]), overlapping windows freely, and returns a
+   executes a whole schedule on the calling domain (both soaks pass it
+   as the service's [driver]), overlapping windows freely, and returns a
    per-window [landing] verdict read back from the injectors' own
    per-victim counters ({!Crash.killed}, {!Stall.Freezer.freeze_hits_of},
    {!Stall.Zombie.bites_of}, and a caller-supplied chaos counter) — so
@@ -90,11 +90,14 @@ let run ?(arm_chaos = fun () -> ()) ?(disarm_chaos = fun () -> ())
                 { time = w.at +. w.hold; idx = i; phase = `Stop };
               ])))
   in
-  let t0 = Unix.gettimeofday () in
+  (* offsets and stamps on the monotonic clock: a wall-clock step
+     mid-storm must not bunch or stretch the windows *)
+  let t0 = Dcas.Clock.now_ns () in
+  let since_t0 () = float (Dcas.Clock.now_ns () - t0) *. 1e-9 in
   let active = ref 0 in
   List.iter
     (fun ev ->
-      let slack = t0 +. ev.time -. Unix.gettimeofday () in
+      let slack = ev.time -. since_t0 () in
       if slack > 0. then Unix.sleepf slack;
       let i = ev.idx in
       (match (ev.phase, ws.(i).fault) with
@@ -117,10 +120,10 @@ let run ?(arm_chaos = fun () -> ()) ?(disarm_chaos = fun () -> ())
       | `Stop, Chaos -> disarm_chaos ());
       (match ev.phase with
       | `Start ->
-          started.(i) <- Unix.gettimeofday () -. t0;
+          started.(i) <- since_t0 ();
           incr active
       | `Stop ->
-          ended.(i) <- Unix.gettimeofday () -. t0;
+          ended.(i) <- since_t0 ();
           decr active);
       on_active !active)
     events;

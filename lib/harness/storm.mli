@@ -1,4 +1,4 @@
-(** Declarative multi-storm schedules (experiment E25): a list of
+(** Declarative multi-storm schedules (experiments E24 and E25): a list of
     fault {!window}s — kill, freeze, zombie, chaos — executed on the
     calling domain with overlapping windows allowed, seeded offset
     jitter, and a per-window {e landing} verdict read back from the
@@ -28,7 +28,8 @@ type window = {
 
 type landing = {
   window : window;
-  started : float;  (** measured start-event offset, seconds *)
+  started : float;
+      (** measured start-event offset, seconds on {!Dcas.Clock} *)
   ended : float;  (** measured stop-event offset *)
   landed : bool;
       (** the injector's own counter moved (freeze parked its victim
@@ -54,8 +55,8 @@ val run :
   ?settle:float ->
   window list ->
   landing list
-(** Execute the schedule on the calling domain (an E25 soak passes
-    this as the service's [driver]), sleeping between events;
+(** Execute the schedule on the calling domain (the E24 and E25 soaks
+    pass this as the service's [driver]), sleeping between events;
     overlapping windows are fine.  [on_active] is called after every
     window edge with the number of currently-open windows — flip a
     fault-phase flag on [> 0].  After the last event, sleep [settle]

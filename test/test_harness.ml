@@ -245,6 +245,128 @@ let test_watchdog_double_start_rejected () =
   ignore (Harness.Watchdog.stop w);
   ignore (Harness.Watchdog.stop w) (* stop is a no-op when not running *)
 
+(* --- Storm schedules --- *)
+
+let chaos_window ~at ~hold = { Harness.Storm.at; hold; fault = Chaos }
+
+let test_storm_validation () =
+  List.iter
+    (fun (at, hold) ->
+      match Harness.Storm.run [ chaos_window ~at ~hold ] with
+      | _ -> Alcotest.fail "expected Invalid_argument"
+      | exception Invalid_argument _ -> ())
+    [ (-0.1, 0.); (Float.nan, 0.); (0., -0.1); (0., Float.nan) ]
+
+let test_storm_jittered () =
+  let ws =
+    List.init 50 (fun i ->
+        chaos_window ~at:(float_of_int (i mod 2)) ~hold:0.5)
+  in
+  let a = Harness.Storm.jittered ~seed:7 ~jitter:1. ws in
+  Alcotest.(check bool) "same seed, same offsets" true
+    (a = Harness.Storm.jittered ~seed:7 ~jitter:1. ws);
+  Alcotest.(check bool) "another seed, other offsets" true
+    (a <> Harness.Storm.jittered ~seed:8 ~jitter:1. ws);
+  List.iter2
+    (fun (w : Harness.Storm.window) (j : Harness.Storm.window) ->
+      Alcotest.(check bool) "clamped at 0" true (j.at >= 0.);
+      Alcotest.(check bool) "within the jitter" true
+        (Float.abs (j.at -. w.at) <= 1.);
+      Alcotest.(check (float 0.)) "hold untouched" w.hold j.hold)
+    ws a;
+  Alcotest.(check bool) "some offset clamped to 0" true
+    (List.exists (fun (j : Harness.Storm.window) -> j.at = 0.) a);
+  match Harness.Storm.jittered ~seed:7 ~jitter:(-1.) ws with
+  | _ -> Alcotest.fail "negative jitter accepted"
+  | exception Invalid_argument _ -> ()
+
+(* At one offset every start fires before any stop, each in declared
+   order: a trace of (open windows, zombie flags of tids 1 and 2) taken
+   after every edge pins the sequence. *)
+let test_storm_event_order () =
+  Harness.Stall.Zombie.reset ();
+  let trace = ref [] in
+  let on_active n =
+    trace :=
+      ( n,
+        Harness.Stall.Zombie.active ~tid:1,
+        Harness.Stall.Zombie.active ~tid:2 )
+      :: !trace
+  in
+  let zombie ~tid ~at ~hold =
+    { Harness.Storm.at; hold; fault = Zombie { tid } }
+  in
+  ignore
+    (Harness.Storm.run ~on_active
+       [ zombie ~tid:1 ~at:0. ~hold:0.; zombie ~tid:2 ~at:0. ~hold:0. ]);
+  ignore
+    (Harness.Storm.run ~on_active
+       [ zombie ~tid:1 ~at:0. ~hold:0.01; zombie ~tid:2 ~at:0.01 ~hold:0. ]);
+  Harness.Stall.Zombie.reset ();
+  let edges =
+    [ (1, true, false); (2, true, true); (1, false, true); (0, false, false) ]
+  in
+  Alcotest.(check (list (triple int bool bool)))
+    "starts, then stops, in declared order" (edges @ edges) (List.rev !trace)
+
+let test_storm_on_active () =
+  let trace = ref [] in
+  ignore
+    (Harness.Storm.run
+       ~on_active:(fun n -> trace := n :: !trace)
+       [
+         chaos_window ~at:0. ~hold:0.04;
+         chaos_window ~at:0.01 ~hold:0.01;
+         chaos_window ~at:0.015 ~hold:0.015;
+       ]);
+  Alcotest.(check (list int)) "open windows after each edge"
+    [ 1; 2; 3; 2; 1; 0 ] (List.rev !trace)
+
+(* A freeze and a zombie window land only on a victim that is there:
+   one domain enrolled as freezer tid 5 that polls the zombie flag of
+   tid 6.  The same windows aimed at tids nobody runs as report
+   [landed = false]. *)
+let test_storm_landing () =
+  Harness.Stall.Freezer.reset ();
+  Harness.Stall.Zombie.reset ();
+  let stop = Atomic.make false and ready = Atomic.make false in
+  let victim =
+    Domain.spawn (fun () ->
+        Harness.Stall.Freezer.enroll ~tid:5;
+        Atomic.set ready true;
+        while not (Atomic.get stop) do
+          if Harness.Stall.Zombie.active ~tid:6 then
+            Harness.Stall.Zombie.bite ~tid:6;
+          Harness.Stall.point ();
+          Domain.cpu_relax ()
+        done;
+        Harness.Stall.Freezer.leave ())
+  in
+  while not (Atomic.get ready) do
+    Domain.cpu_relax ()
+  done;
+  let storm ~freeze ~zombie =
+    List.map
+      (fun l -> l.Harness.Storm.landed)
+      (Harness.Storm.run
+         [
+           {
+             Harness.Storm.at = 0.;
+             hold = 0.15;
+             fault = Freeze { tid = freeze };
+           };
+           { at = 0.2; hold = 0.15; fault = Zombie { tid = zombie } };
+         ])
+  in
+  let enrolled = storm ~freeze:5 ~zombie:6 in
+  let absent = storm ~freeze:7 ~zombie:8 in
+  Atomic.set stop true;
+  Domain.join victim;
+  Harness.Stall.Freezer.reset ();
+  Harness.Stall.Zombie.reset ();
+  Alcotest.(check (list bool)) "enrolled victims" [ true; true ] enrolled;
+  Alcotest.(check (list bool)) "no victim" [ false; false ] absent
+
 (* --- Starvation metrics --- *)
 
 let test_starvation () =
@@ -507,6 +629,15 @@ let () =
             test_watchdog_fires_and_rearms;
           Alcotest.test_case "double start rejected" `Quick
             test_watchdog_double_start_rejected;
+        ] );
+      ( "storm",
+        [
+          Alcotest.test_case "window validation" `Quick test_storm_validation;
+          Alcotest.test_case "jittered offsets" `Quick test_storm_jittered;
+          Alcotest.test_case "equal-offset order" `Quick
+            test_storm_event_order;
+          Alcotest.test_case "overlap count" `Quick test_storm_on_active;
+          Alcotest.test_case "landing verdicts" `Quick test_storm_landing;
         ] );
       ( "starvation",
         [ Alcotest.test_case "imbalance" `Quick test_starvation ] );
